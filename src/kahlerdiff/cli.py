@@ -157,7 +157,9 @@ def cmd_bounds(args) -> int:
         "koszul_ok": all(koszul_check(scheme, d) for d in range(r + n + 3)),
     }
     probe = conjecture_probe(scheme)
-    ok = True
+    ok = report["koszul_ok"] and not any(
+        st in ("VIOLATED", "MISMATCH") for *_, st in rows
+    )
     if args.format == "json":
         blob = {
             "bounds": [
@@ -178,8 +180,6 @@ def cmd_bounds(args) -> int:
     else:
         for s, _b, e, st in rows:
             print(f"{s:<55} engine={e:<6} {st}")
-            if st in ("VIOLATED", "MISMATCH"):
-                ok = False
         print(f"{'support in general position':<55} {report['general_position']}")
         print(f"{'scheme reduced':<55} {report['reduced']}")
         print(f"{'alternating-sum identity (all degrees)':<55} {report['koszul_ok']}")
@@ -187,8 +187,6 @@ def cmd_bounds(args) -> int:
             f"{'top-form HP vs thinned degree (experimental probe)':<55} "
             f"hp_top={probe.hp_top} hp_thinned={probe.hp_thinned} agree={probe.agree}"
         )
-    if not report["koszul_ok"]:
-        ok = False
     return EXIT_OK if ok else EXIT_VERIFY
 
 

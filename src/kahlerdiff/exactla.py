@@ -9,6 +9,7 @@ entries at minor-determinant size instead of letting them explode.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -16,11 +17,14 @@ from typing import Iterable, Sequence
 Rational = Fraction
 
 
-def _clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
+def _clear_row_denominators(row: Sequence[Fraction | int]) -> list[int]:
     lcm = 1
     for x in row:
         d = x.denominator
-        lcm = lcm // gcd(lcm, d) * d
+        if d != 1:
+            lcm = lcm // gcd(lcm, d) * d
+    if lcm == 1:
+        return [int(x) for x in row]
     return [int(x * lcm) for x in row]
 
 
@@ -227,42 +231,79 @@ def right_kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[l
 
 
 class Echelon:
-    """Incremental row space over Q with unit pivots; supports reduce/insert."""
+    """Incremental row space over Q, kept fraction-free.
 
-    __slots__ = ("ncols", "rows", "pivots")
+    Rows are primitive integer vectors in reduced echelon form: each has a
+    positive entry at its own pivot and zeros at the pivots of the others.
+    support[k] lists the nonzero columns of rows[k], the only ones visited
+    when that row is used.
+    """
+
+    __slots__ = ("ncols", "rows", "pivots", "support")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.support: list[list[int]] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
+    def reduce(self, vec: Sequence[Fraction | int]) -> list[int]:
+        """A positive integer multiple of the residual of `vec` modulo the
+        space; it is zero exactly when `vec` lies in the space."""
+        v = _clear_row_denominators(vec)
+        for row, p, supp in zip(self.rows, self.pivots, self.support):
             f = v[p]
             if f:
-                for j in range(p, self.ncols):
-                    v[j] -= f * row[j]
+                g = gcd(f, row[p])
+                a, b = row[p] // g, f // g
+                if a != 1:
+                    v = [a * x for x in v]
+                for j in supp:
+                    v[j] -= b * row[j]
         return v
 
-    def insert(self, vec: Sequence[Fraction]) -> bool:
+    def insert(self, vec: Sequence[Fraction | int]) -> bool:
         """Reduce `vec` against the space; grow the space if independent."""
         v = self.reduce(vec)
-        lead = next((j for j in range(self.ncols) if v[j]), None)
-        if lead is None:
+        supp = [j for j in range(self.ncols) if v[j]]
+        if not supp:
             return False
-        inv = 1 / v[lead]
-        v = [x * inv for x in v]
-        for row in self.rows:
+        _make_primitive(v, supp)
+        lead = supp[0]
+        c = v[lead]
+        for k, row in enumerate(self.rows):
             f = row[lead]
             if f:
-                for j in range(lead, self.ncols):
-                    row[j] -= f * v[j]
-        at = next((k for k, p in enumerate(self.pivots) if p > lead), len(self.pivots))
+                g = gcd(f, c)
+                a, b = c // g, f // g
+                if a != 1:
+                    for j in self.support[k]:
+                        row[j] *= a
+                for j in supp:
+                    row[j] -= b * v[j]
+                self.support[k] = [j for j in range(self.ncols) if row[j]]
+                _make_primitive(row, self.support[k])
+        at = bisect_left(self.pivots, lead)
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)
+        self.support.insert(at, supp)
         return True
+
+
+def _make_primitive(row: list[int], supp: Sequence[int]) -> None:
+    """Divide `row`, nonzero exactly at `supp`, by its content; make its
+    first nonzero entry positive."""
+    g = 0
+    for j in supp:
+        g = gcd(g, row[j])
+        if g == 1:
+            break
+    if row[supp[0]] < 0:
+        g = -g
+    if g != 1:
+        for j in supp:
+            row[j] //= g

@@ -10,8 +10,10 @@ multiples of dG ^ dX_J over a generating set {G} of the ideal.
 
 The ideal-multiple rows fill a full block of known dimension, so the rank
 is computed in quotient coordinates: each coefficient polynomial is
-replaced by its jet vector, whose kernel is exactly the ideal slice.  A
-literal dense-matrix path is kept for cross-checking.
+replaced by its jet vector, whose kernel is exactly the ideal slice.  The
+Hilbert tables grow that image degree by degree in one sweep (`_sweep`);
+`submodule_slice` ranks a single degree from scratch, and its literal
+dense-matrix path is kept for cross-checking.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -22,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb
-from typing import Sequence
+from itertools import combinations, count, islice
+from math import comb, gcd
+from typing import Iterator, Sequence
 
 from .exactla import Echelon, integer_rows, rank_int
 from .polyring import Exponents, HomogPoly, degree_slice
@@ -156,20 +158,14 @@ def _primitive_int_poly(f: HomogPoly) -> HomogPoly:
     lcm = 1
     for c in f.terms.values():
         d = c.denominator
-        lcm = lcm // _gcd(lcm, d) * d
+        lcm = lcm // gcd(lcm, d) * d
     g = f.scale(lcm)
     content = 0
     for c in g.terms.values():
-        content = _gcd(content, abs(int(c)))
+        content = gcd(content, abs(int(c)))
     if content > 1:
         g = g.scale(Fraction(1, content))
     return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _GeneratorJets:
@@ -416,107 +412,130 @@ def _lead_rank(scheme: FatPointScheme, m: int, relative: bool) -> int:
     return comb(scheme.n, m) if relative else comb(scheme.n + 1, m)
 
 
-def _hf_at(scheme: FatPointScheme, m: int, d: int, relative: bool) -> int:
-    t = _lead_rank(scheme, m, relative)
-    if d < m:
-        return 0
-    rows = _differential_rows(scheme, m, d, relative)
-    extra = rank_int(integer_rows(rows)) if rows else 0
-    return t * hilbert_function(scheme, d - m) - extra
+def _wedge_entering(
+    scheme: FatPointScheme, m: int, relative: bool
+) -> dict[int, list[list[Fraction | int]]]:
+    """Jet rows of dG ^ dX_J over the generators G, keyed by the total
+    degree m + deg(G) - 1 at which each enters the image of dI * Omega^{m-1}."""
+    gj = _generator_jets(scheme)
+    D = gj.js.dim
+    basis = WedgeBasis(scheme.n, m, relative)
+    tpos = {T: k for k, T in enumerate(basis.subsets)}
+    entering: dict[int, list[list[Fraction | int]]] = {}
+    for gi, g in enumerate(gj.gens):
+        rows = entering.setdefault(m + g.degree - 1, [])
+        for J in combinations(basis.indices, m - 1):
+            row: list[Fraction | int] = [0] * (basis.size * D)
+            for i in basis.indices:
+                jets = gj.pjets[(gi, i)]
+                if i in J or not any(jets):
+                    continue
+                base = tpos[tuple(sorted(J + (i,)))] * D
+                sign = _insertion_sign(i, J)
+                row[base : base + D] = jets if sign > 0 else [-v for v in jets]
+            if any(row):
+                rows.append(row)
+    return entering
 
 
-@lru_cache(maxsize=None)
-def omega_hf(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
-    """Hilbert function table of Omega^m, scanned to certified stabilization.
+def _sweep(
+    scheme: FatPointScheme,
+    m: int,
+    blocks: int,
+    entering: dict[int, list[list[Fraction | int]]],
+) -> Iterator[int]:
+    """Yield blocks * HF_W(d - m) - dim R_d for d = 0, 1, 2, ...
+
+    R_d is the span, in jet coordinates of (S/I_W)^blocks, of the rows
+    entering at degrees <= d and all their monomial multiples.  X_0 acts as
+    the identity on jets, so R_d = R_{d-1} + sum_i X_i R_{d-1} + (rows
+    entering at d), and since X_i R_{d-2} lies in R_{d-1} only the rows
+    new at degree d-1 need shifting: the echelon rows whose pivots first
+    appeared there, copied when that degree ended.  They span a complement
+    of R_{d-2} in R_{d-1}, because a vector of R_{d-2} that vanishes at
+    all of its pivots is zero.
+    """
+    js = jet_system(scheme)
+    D = js.dim
+    zero = [0] * D
+    ech = Echelon(blocks * D)
+    fresh: list[list[int]] = []
+    seen: set[int] = set()
+    for d in count():
+        for row in fresh:
+            parts = [row[k * D : (k + 1) * D] for k in range(blocks)]
+            for i in range(1, scheme.n + 1):
+                shifted: list[Fraction | int] = []
+                for part in parts:
+                    shifted.extend(js.shift_by_variable(part, i) if any(part) else zero)
+                ech.insert(shifted)
+        for row in entering.get(d, ()):
+            ech.insert(row)
+        yield blocks * hilbert_function(scheme, d - m) - ech.rank
+        fresh = [list(row) for row, p in zip(ech.rows, ech.pivots) if p not in seen]
+        seen = set(ech.pivots)
+
+
+def _certified(
+    scheme: FatPointScheme, m: int, relative: bool, values: Iterator[int]
+) -> OmegaHF:
+    """Scan `values` to certified stabilization.
 
     The scan stops at the first degree d >= r_W + m with HF(d) = HF(d+1):
     past r_W + m the function is nonincreasing and strictly decreases until
     it reaches its constant value, so a repeat certifies the tail.
     """
-    _check_form_degree(scheme, m, relative)
     r = regularity_index(scheme)
     cap = 2 * r + scheme.n + 2
     cap_extended = False
-    values = [_hf_at(scheme, m, 0, relative)]
-    d = 1
-    while True:
-        values.append(_hf_at(scheme, m, d, relative))
-        if d - 1 >= r + m and values[d] == values[d - 1]:
-            cert = d - 1
-            break
+    table: list[int] = []
+    for d, value in enumerate(values):
+        table.append(value)
+        if d - 1 >= r + m and value == table[d - 1]:
+            return OmegaHF(scheme, m, relative, HFTable.from_values(table), d - 1)
+        if d > cap and not cap_extended:
+            cap = max(cap, regularity_index(scheme.fattening()) + scheme.n + 2)
+            cap_extended = True
         if d > cap:
-            if not cap_extended:
-                cap = max(cap, regularity_index(scheme.fattening()) + scheme.n + 2)
-                cap_extended = True
-            if d > cap:
-                raise RuntimeError(
-                    f"Omega^{m} Hilbert function did not stabilize below {cap}"
-                )
-        d += 1
-    hp = values[-1]
-    stable = len(values) - 1
-    while stable > 0 and values[stable - 1] == hp:
-        stable -= 1
-    return OmegaHF(scheme, m, relative, HFTable(tuple(values), stable, hp), cert)
+            raise RuntimeError(f"Omega^{m} Hilbert function did not stabilize below {cap}")
+    raise AssertionError("the sweep is endless")
+
+
+def _omega_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int]:
+    _check_form_degree(scheme, m, relative)
+    t = _lead_rank(scheme, m, relative)
+    return _sweep(scheme, m, t, _wedge_entering(scheme, m, relative))
+
+
+@lru_cache(maxsize=None)
+def omega_hf(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
+    """Hilbert function table of Omega^m, swept to certified stabilization."""
+    return _certified(scheme, m, relative, _omega_values(scheme, m, relative))
 
 
 def omega_hf_prefix(
     scheme: FatPointScheme, m: int, up_to: int, relative: bool = False
 ) -> list[int]:
     """Values HF_{Omega^m}(0..up_to) with no stabilization certificate."""
-    _check_form_degree(scheme, m, relative)
-    return [_hf_at(scheme, m, d, relative) for d in range(up_to + 1)]
+    return list(islice(_omega_values(scheme, m, relative), max(up_to + 1, 0)))
 
 
 @lru_cache(maxsize=None)
 def top_form_hf(scheme: FatPointScheme) -> OmegaHF:
     """Hilbert table of the top form module via the Jacobian-ideal quotient,
-    an independent path from the wedge presentation:
+    an independent presentation from the wedge one:
     HF_{Omega^{n+1}}(i) = HF_{S/<all partials>}(i - n - 1).
 
-    The quotient image of the partial ideal is tracked incrementally: one
-    degree step multiplies the current span by each variable (a sparse
-    operator on jet vectors) and adds the partials of the generators
-    entering at that degree.
+    One block of jet coordinates, entered by the partials of each generator
+    G at degree deg(G) + n, swept like the wedge presentation.
     """
     n = scheme.n
-    r = regularity_index(scheme)
-    js = jet_system(scheme)
     gj = _generator_jets(scheme)
     entering: dict[int, list[list[Fraction]]] = {}
     for gi, g in enumerate(gj.gens):
-        rows = entering.setdefault(g.degree - 1, [])
-        for i in range(n + 1):
-            rows.append(gj.pjets[(gi, i)])
-    ech = Echelon(js.dim)
-    cap = 2 * r + n + 2
-    cap_extended = False
-    vals: list[int] = []
-    e = 0
-    while True:
-        fresh = [list(row) for row in ech.rows]
-        for i in range(1, n + 1):
-            for row in fresh:
-                ech.insert(js.shift_by_variable(row, i))
-        for row in entering.get(e, []):
-            ech.insert(row)
-        vals.append(hilbert_function(scheme, e) - ech.rank)
-        if e >= r + 1 and vals[e] == vals[e - 1]:
-            cert = (e - 1) + n + 1
-            break
-        if e + n + 1 > cap:
-            if not cap_extended:
-                cap = max(cap, regularity_index(scheme.fattening()) + n + 2)
-                cap_extended = True
-            if e + n + 1 > cap:
-                raise RuntimeError("top-form Hilbert function did not stabilize")
-        e += 1
-    values = [0] * (n + 1) + vals
-    hp = values[-1]
-    stable = len(values) - 1
-    while stable > 0 and values[stable - 1] == hp:
-        stable -= 1
-    return OmegaHF(scheme, n + 1, False, HFTable(tuple(values), stable, hp), cert)
+        rows = entering.setdefault(g.degree + n, [])
+        rows.extend(gj.pjets[(gi, i)] for i in range(n + 1))
+    return _certified(scheme, n + 1, False, _sweep(scheme, n + 1, 1, entering))
 
 
 def koszul_check(scheme: FatPointScheme, d: int) -> bool:

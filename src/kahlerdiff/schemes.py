@@ -507,13 +507,32 @@ def apply_coordinate_change(
 
 # --- JSON scheme files ----------------------------------------------------
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_coord(value) -> Fraction:
+    """A coordinate given exactly: an integer or a string such as "3/2".
+    A JSON float is rejected, since it holds a binary fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(
+            f"coordinate {value!r} must be an integer or a string such as \"3/2\""
+        )
+    return Fraction(value)
+
+
 def scheme_from_json_dict(doc: dict) -> FatPointScheme:
-    """Parse `{"n": 2, "points": [{"coords": ["1","1","0"], "mult": 2}, ...]}`."""
+    """Parse `{"n": 2, "points": [{"coords": ["1","1","0"], "mult": 2}, ...]}`.
+
+    n and mult must be JSON integers, coordinates integers or strings.
+    """
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"], "n")
         entries = doc["points"]
-        points = [ProjPoint([Fraction(c) for c in e["coords"]]) for e in entries]
-        mults = [int(e.get("mult", 1)) for e in entries]
+        points = [ProjPoint([_json_coord(c) for c in e["coords"]]) for e in entries]
+        mults = [_json_int(e.get("mult", 1), "mult") for e in entries]
     except CoordinateAssumptionError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

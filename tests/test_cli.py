@@ -146,3 +146,37 @@ def test_verify_paper_json_schema():
     blob = json.loads(res.stdout)
     assert blob["failed"] == 0
     assert blob["passed"] == len(blob["checks"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_violation_exit_code(scheme_file, monkeypatch, capsys, fmt):
+    from kahlerdiff import cli
+
+    monkeypatch.setattr(cli, "hp_bounds", lambda scheme, m: (-2, -1))
+    assert cli.main(["bounds", scheme_file, "--format", fmt]) == 1
+    assert "VIOLATED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"coords": ["1", "0", "0"], "mult": 2.7},
+        {"coords": ["1", "0", "0"], "mult": True},
+        {"coords": [1, 0.1, 0], "mult": 1},
+    ],
+    ids=["float-mult", "bool-mult", "float-coordinate"],
+)
+def test_coerced_input_rejected(tmp_path, point):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({"n": 2, "points": [point]}))
+    res = run_cli("hf", str(path))
+    assert res.returncode == 2
+    assert "error" in res.stderr and res.stdout == ""
+
+
+def test_integer_coordinates_accepted(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"n": 1, "points": [{"coords": [1, 2], "mult": 2}]}))
+    res = run_cli("hf", str(path), "--m", "0")
+    assert res.returncode == 0
+    assert res.stdout.startswith("HF_W")

@@ -259,3 +259,41 @@ def test_koszul_on_the_line():
     t1, t2 = omega_hf(s, 1).table, omega_hf(s, 2).table
     assert t1.value(6) - t2.value(6) == 6 == hilbert_function(s, 6)
     assert all(koszul_check(s, d) for d in range(12))
+
+
+def test_sweep_matches_per_degree_presentation():
+    """The degree sweep against the presentation ranked afresh per degree:
+    HF(d) = C * C(n+d-m, n) - dim (I*Omega^m + dI*Omega^{m-1})_d, with
+    C = C(n+1, m), or C(n, m) for relative forms."""
+    import random
+    from math import comb
+
+    rng = random.Random(4242)
+    for _ in range(8):
+        s = random_scheme(rng, max_s=4, max_mult=2)
+        n = s.n
+        for relative in (False, True):
+            for m in range(1, (n if relative else n + 1) + 1):
+                o = omega_hf(s, m, relative)
+                lead = comb(n, m) if relative else comb(n + 1, m)
+                for d in range(m, o.cert_degree + 3):
+                    expected = lead * comb(n + d - m, n) - submodule_slice(s, m, d, relative)
+                    assert o.table.value(d) == expected, (s, m, relative, d)
+                prefix = omega_hf_prefix(s, m, o.cert_degree + 4, relative)
+                assert prefix == o.table.prefix(len(prefix))
+
+
+def test_sweep_matches_dense_presentation():
+    from math import comb
+
+    for s in (
+        simple(1, (1, 0), (1, 3), mults=[2, 1]),
+        simple(2, (1, 0, 0), (1, 1, -1), mults=[2, 1]),
+        simple(2, (1, 0, 0), (1, 2, 1), (1, -1, 3)),
+    ):
+        n = s.n
+        for m in range(1, n + 2):
+            o = omega_hf(s, m)
+            for d in range(m, o.cert_degree + 2):
+                dense = submodule_slice(s, m, d, method="dense")
+                assert o.table.value(d) == comb(n + 1, m) * comb(n + d - m, n) - dense
