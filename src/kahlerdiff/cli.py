@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .formulas import (
     conjecture_probe,
@@ -34,17 +32,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_COORDS = 3
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("KAHLER_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"KAHLER_THREADS must be an integer >= 1, got {raw!r}") from exc
-    if count < 1:
-        raise ValueError(f"KAHLER_THREADS must be an integer >= 1, got {raw!r}")
-    return count
 
 
 def _load_scheme(path: str) -> FatPointScheme:
@@ -118,12 +105,7 @@ def _emit_tables(entries, fmt: str) -> str:
 def cmd_hf(args) -> int:
     scheme = _load_scheme(args.scheme)
     jobs = _table_jobs(scheme, args.m, args.relative)
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(lambda j: _compute_table(scheme, j, args.max_degree), jobs))
-    else:
-        entries = [_compute_table(scheme, j, args.max_degree) for j in jobs]
+    entries = [_compute_table(scheme, j, args.max_degree) for j in jobs]
     print(_emit_tables(entries, args.format))
     return EXIT_OK
 

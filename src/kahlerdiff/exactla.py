@@ -1,10 +1,15 @@
-"""Exact rational linear algebra: rank, kernels, and echelon forms.
+"""Exact rational linear algebra: one elimination kernel and its oracles.
 
-Every dimension count in this package comes down to the rank of a dense
-matrix over Q.  Scalars are `fractions.Fraction` (exposed as `Rational`);
-rank is computed by clearing denominators row-wise and running
-fraction-free (Bareiss) integer elimination, which keeps intermediate
-entries at minor-determinant size instead of letting them explode.
+Every dimension count in this package comes down to a row space over Q.
+Scalars are `fractions.Fraction` (exposed as `Rational`); rows are scaled
+to integers by clearing denominators row-wise.  `Echelon` is the one
+kernel: an incremental, fraction-free reduced echelon form that the Hilbert
+tables grow degree by degree and that `kernel_standard` reads kernel bases
+off.  Bareiss elimination (`rank_int`, `bareiss_pivots`) ranks a whole
+integer matrix in one pass; it serves the one-shot checks (a single-degree
+`submodule_slice`, the generator-degree pivots, general position) and is
+the oracle the tests hold the sweeps against.  `rref` and
+`ExactMatrix.rank_naive` are rational-arithmetic oracles for the tests.
 """
 
 from __future__ import annotations
@@ -28,70 +33,24 @@ def _clear_row_denominators(row: Sequence[Fraction | int]) -> list[int]:
     return [int(x * lcm) for x in row]
 
 
-def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+def integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     """Rescale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        if all(isinstance(x, int) for x in row):
-            out.append(list(row))
-        else:
-            out.append(_clear_row_denominators([Fraction(x) for x in row]))
-    return out
+    return [_clear_row_denominators(row) for row in rows]
 
 
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination.
+def _bareiss(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of an integer matrix by fraction-free Bareiss elimination.
 
     Pivots are chosen of smallest nonzero magnitude in the current column;
     all divisions are exact.  The input is consumed.
     """
     if not rows or not rows[0]:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv, best = -1, 0
-        for i in range(r, nrows):
-            a = rows[i][c]
-            if a and (piv < 0 or abs(a) < best):
-                piv, best = i, abs(a)
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pc = prow[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            ric = row[c]
-            if ric:
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * pc - ric * prow[j]) // prev
-                row[c] = 0
-            else:
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * pc) // prev
-        prev = pc
-        r += 1
-    return r
-
-
-def bareiss_pivots(rows: list[list[int]]) -> tuple[int, list[int]]:
-    """Rank and pivot columns of an integer matrix (Bareiss elimination).
-
-    The non-pivot columns index a coordinate complement of the row space.
-    The input is consumed.
-    """
-    if not rows or not rows[0]:
-        return 0, []
+        return []
     nrows, ncols = len(rows), len(rows[0])
     pivots: list[int] = []
-    r = 0
     prev = 1
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         piv, best = -1, 0
@@ -117,8 +76,22 @@ def bareiss_pivots(rows: list[list[int]]) -> tuple[int, list[int]]:
                     row[j] = (row[j] * pc) // prev
         prev = pc
         pivots.append(c)
-        r += 1
-    return r, pivots
+    return pivots
+
+
+def rank_int(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix (Bareiss elimination).  The input is consumed."""
+    return len(_bareiss(rows))
+
+
+def bareiss_pivots(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """Rank and pivot columns of an integer matrix (Bareiss elimination).
+
+    The non-pivot columns index a coordinate complement of the row space.
+    The input is consumed.
+    """
+    pivots = _bareiss(rows)
+    return len(pivots), pivots
 
 
 class ExactMatrix:
@@ -163,16 +136,14 @@ class ExactMatrix:
         return r
 
 
-def rank(matrix: ExactMatrix) -> int:
-    return matrix.rank()
-
-
-def kernel_dimension(matrix: ExactMatrix) -> int:
-    return matrix.kernel_dimension()
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form over `Fraction`; returns (nonzero rows, pivot
+    columns).
+
+    Test oracle only: no library code calls it.  The tests compare
+    `kernel_standard`, which runs on `Echelon`, against the basis read off
+    this form.
+    """
     work = [[Fraction(x) for x in row] for row in rows]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -198,19 +169,20 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
 
 
 def kernel_standard(
-    rows: Sequence[Sequence[Fraction]], ncols: int
+    rows: Sequence[Sequence[Fraction | int]], ncols: int
 ) -> tuple[list[list[Fraction]], list[int]]:
     """Kernel basis in standard form, with the free columns that index it.
 
     Basis vector k has value 1 at free column k and 0 at the other free
     columns, so the coordinates of any kernel element with respect to this
-    basis can be read off at the free columns.
+    basis can be read off at the free columns.  The basis is unique; it is
+    read off the `Echelon` of the rows, whose row at pivot p is a positive
+    multiple of the reduced echelon row at p.
     """
-    if not rows:
-        basis = [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-        return basis, list(range(ncols))
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.insert(row)
+    pivot_set = set(ech.pivots)
     basis = []
     free_cols = []
     for free in range(ncols):
@@ -218,16 +190,11 @@ def kernel_standard(
             continue
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
+        for row, p in zip(ech.rows, ech.pivots):
+            v[p] = Fraction(-row[free], row[p])
         basis.append(v)
         free_cols.append(free)
     return basis, free_cols
-
-
-def right_kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : M v = 0}, one vector per non-pivot column of the RREF."""
-    return kernel_standard(rows, ncols)[0]
 
 
 class Echelon:

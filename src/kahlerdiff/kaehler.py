@@ -11,9 +11,11 @@ multiples of dG ^ dX_J over a generating set {G} of the ideal.
 The ideal-multiple rows fill a full block of known dimension, so the rank
 is computed in quotient coordinates: each coefficient polynomial is
 replaced by its jet vector, whose kernel is exactly the ideal slice.  The
-Hilbert tables grow that image degree by degree in one sweep (`_sweep`);
-`submodule_slice` ranks a single degree from scratch, and its literal
-dense-matrix path is kept for cross-checking.
+Hilbert tables grow that image degree by degree on `schemes.span_sweep`,
+the one sweep (on the one `Echelon`) that also gives the Hilbert function
+of the scheme; `submodule_slice` ranks a single degree from scratch by
+Bareiss elimination, and it and its literal dense-matrix path are the
+oracles the tests hold the sweep against.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -24,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, islice
+from itertools import combinations, islice
 from math import comb, gcd
 from typing import Iterator, Sequence
 
-from .exactla import Echelon, integer_rows, rank_int
+from .exactla import integer_rows, rank_int
 from .polyring import Exponents, HomogPoly, degree_slice
 from .schemes import (
     FatPointScheme,
@@ -40,6 +42,7 @@ from .schemes import (
     jet_system,
     minimal_generators,
     regularity_index,
+    span_sweep,
 )
 
 __all__ = [
@@ -444,36 +447,10 @@ def _sweep(
     blocks: int,
     entering: dict[int, list[list[Fraction | int]]],
 ) -> Iterator[int]:
-    """Yield blocks * HF_W(d - m) - dim R_d for d = 0, 1, 2, ...
-
-    R_d is the span, in jet coordinates of (S/I_W)^blocks, of the rows
-    entering at degrees <= d and all their monomial multiples.  X_0 acts as
-    the identity on jets, so R_d = R_{d-1} + sum_i X_i R_{d-1} + (rows
-    entering at d), and since X_i R_{d-2} lies in R_{d-1} only the rows
-    new at degree d-1 need shifting: the echelon rows whose pivots first
-    appeared there, copied when that degree ended.  They span a complement
-    of R_{d-2} in R_{d-1}, because a vector of R_{d-2} that vanishes at
-    all of its pivots is zero.
-    """
-    js = jet_system(scheme)
-    D = js.dim
-    zero = [0] * D
-    ech = Echelon(blocks * D)
-    fresh: list[list[int]] = []
-    seen: set[int] = set()
-    for d in count():
-        for row in fresh:
-            parts = [row[k * D : (k + 1) * D] for k in range(blocks)]
-            for i in range(1, scheme.n + 1):
-                shifted: list[Fraction | int] = []
-                for part in parts:
-                    shifted.extend(js.shift_by_variable(part, i) if any(part) else zero)
-                ech.insert(shifted)
-        for row in entering.get(d, ()):
-            ech.insert(row)
-        yield blocks * hilbert_function(scheme, d - m) - ech.rank
-        fresh = [list(row) for row, p in zip(ech.rows, ech.pivots) if p not in seen]
-        seen = set(ech.pivots)
+    """Yield blocks * HF_W(d - m) - dim R_d for d = 0, 1, 2, ..., where R_d
+    is the span that `span_sweep` grows from the entering rows."""
+    spans = span_sweep(jet_system(scheme), blocks, entering)
+    return (blocks * hilbert_function(scheme, d - m) - rank for d, rank in enumerate(spans))
 
 
 def _certified(

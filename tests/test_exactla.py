@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from kahlerdiff.exactla import (
     integer_rows,
     kernel_standard,
     rank_int,
-    right_kernel_basis,
+    rref,
 )
 
 
@@ -77,7 +78,7 @@ def test_rank_invariant_under_scaling_and_permutation(mat, rnd):
 @settings(deadline=None)
 def test_kernel_vectors_annihilate(mat):
     ncols = len(mat[0])
-    basis = right_kernel_basis([[Fraction(x) for x in row] for row in mat], ncols)
+    basis = kernel_standard([[Fraction(x) for x in row] for row in mat], ncols)[0]
     m = ExactMatrix(mat)
     assert len(basis) == m.kernel_dimension()
     for v in basis:
@@ -93,6 +94,39 @@ def test_kernel_standard_form():
         for other in free:
             if other != f:
                 assert basis[k][other] == 0
+
+
+def _rref_kernel(rows, ncols):
+    """Standard-form kernel basis read off the Fraction RREF (the oracle)."""
+    reduced, pivots = rref(rows)
+    basis, free_cols = [], []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(int(free == j)) for j in range(ncols)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+        free_cols.append(free)
+    return basis, free_cols
+
+
+def test_kernel_standard_matches_rref_oracle():
+    rng = random.Random(4242)
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+    cases = [([], 0), ([], 3), ([[0, 0, 0]], 3), ([[Fraction(0)] * 2] * 2, 2)]
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(nrows + 1), [0] * ncols)
+        if rng.random() < 0.3:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
+        fracs = [[Fraction(x) for x in row] for row in rows]
+        assert kernel_standard(fracs, ncols) == _rref_kernel(fracs, ncols)
+        assert kernel_standard(rows, ncols) == _rref_kernel(fracs, ncols)
 
 
 def test_bareiss_pivots_complement():

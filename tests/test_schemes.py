@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from kahlerdiff.polyring import parse_poly
+from kahlerdiff.exactla import rank_int
+from kahlerdiff.polyring import degree_slice, parse_poly
 from kahlerdiff.schemes import (
     CoordinateAssumptionError,
     FatPointScheme,
@@ -173,6 +174,25 @@ def test_hf_nondecreasing_and_reaches_degree(rng):
         for d in range(alpha):
             assert t.value(d) == comb(s.n + d, s.n)
             assert ideal_slice(s, d) == ()
+
+
+def test_hf_table_matches_literal_jet_matrix():
+    """The sweep against the rank of the whole scaled jet matrix, degree by
+    degree, on criterion-9 schemes moved to non-integral coordinates."""
+    rng = random.Random(55012)
+    for _ in range(12):
+        base = random_scheme(rng)
+        n = base.n
+        shift = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+        for i in range(1, n + 1):
+            shift[i][0] = Fraction(1, i + 2)
+        s = apply_coordinate_change(base, shift)
+        js = jet_system(s)
+        assert not js.all_integral
+        table = hf_table(s)
+        for d in range(table.stable_from + 2):
+            cols = [js.monomial_column(beta, d) for beta in degree_slice(n, d)]
+            assert table.value(d) == rank_int([list(r) for r in zip(*cols)])
 
 
 def test_inclusion_reversal(rng):
