@@ -6,9 +6,11 @@ by the rank engine and by the closed formulas, for s points (1 : t : t^2)
 on the parametrized conic X1^2 - X0 X2.
 
 Usage: python scripts/conic_tables.py [--points S] [--mult NU]
+Exits with status 1 if any table disagrees with its closed form.
 """
 
 import argparse
+import sys
 
 from kahlerdiff.formulas import ConicSchemeSpec, conic_hf
 from kahlerdiff.kaehler import omega_hf
@@ -16,7 +18,7 @@ from kahlerdiff.polyring import parse_poly
 from kahlerdiff.schemes import FatPointScheme, ProjPoint, hf_table
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--points", type=int, default=6, help="number of points (>= 4)")
     parser.add_argument("--mult", type=int, default=2, help="common multiplicity")
@@ -30,6 +32,7 @@ def main() -> None:
 
     table = hf_table(w)
     width = max(omega_hf(w, m).ri for m in (1, 2, 3)) + 3
+    status = 0
     print(f"s = {args.points}, multiplicity = {args.mult}, degree = {w.degree()}")
     print("HF_W      :", " ".join(str(table.value(d)) for d in range(width)))
     for m in (1, 2, 3):
@@ -41,7 +44,10 @@ def main() -> None:
             " ".join(str(engine.value(d)) for d in range(width)),
             "(closed form agrees)" if not mismatch else f"MISMATCH at {mismatch}",
         )
+        if mismatch:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

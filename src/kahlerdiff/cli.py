@@ -103,6 +103,8 @@ def _emit_tables(entries, fmt: str) -> str:
 
 
 def cmd_hf(args) -> int:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
     scheme = _load_scheme(args.scheme)
     jobs = _table_jobs(scheme, args.m, args.relative)
     entries = [_compute_table(scheme, j, args.max_degree) for j in jobs]

@@ -4,12 +4,13 @@ Every dimension count in this package comes down to a row space over Q.
 Scalars are `fractions.Fraction` (exposed as `Rational`); rows are scaled
 to integers by clearing denominators row-wise.  `Echelon` is the one
 kernel: an incremental, fraction-free reduced echelon form that the Hilbert
-tables grow degree by degree and that `kernel_standard` reads kernel bases
-off.  Bareiss elimination (`rank_int`, `bareiss_pivots`) ranks a whole
-integer matrix in one pass; it serves the one-shot checks (a single-degree
-`submodule_slice`, the generator-degree pivots, general position) and is
-the oracle the tests hold the sweeps against.  `rref` and
-`ExactMatrix.rank_naive` are rational-arithmetic oracles for the tests.
+tables grow degree by degree, that `kernel_standard` reads kernel bases
+off and whose pivot columns pick the minimal generators.  Bareiss
+elimination (`rank_int`, `bareiss_pivots`) ranks a whole integer matrix in
+one pass; it serves the one-shot checks (a single-degree `submodule_slice`,
+general position) and is the oracle the tests hold the sweeps against.
+`rref` and `ExactMatrix.rank_naive` are rational-arithmetic oracles for the
+tests.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ multiples of dG ^ dX_J over a generating set {G} of the ideal.
 
 The ideal-multiple rows fill a full block of known dimension, so the rank
 is computed in quotient coordinates: each coefficient polynomial is
-replaced by its jet vector, whose kernel is exactly the ideal slice.  The
+replaced by its jet vector, whose kernel is exactly the ideal slice.  Jets
+come from the one exact evaluator `schemes.JetSystem`: ints when every
+point has integral coordinates, Fractions otherwise.  The
 Hilbert tables grow that image degree by degree on `schemes.span_sweep`,
 the one sweep (on the one `Echelon`) that also gives the Hilbert function
 of the scheme; `submodule_slice` ranks a single degree from scratch by
@@ -174,8 +176,8 @@ def _primitive_int_poly(f: HomogPoly) -> HomogPoly:
 class _GeneratorJets:
     """Partial derivatives of the ideal generators with their jet vectors.
 
-    pjets[(g, i)][k] is the (unscaled) jet value of dG_g/dX_i at the k-th
-    jet functional of the scheme.  For the affine variables these are
+    pjets[(g, i)][k] is the jet value of dG_g/dX_i at the k-th jet
+    functional of the scheme.  For the affine variables these are
     higher-order jets of G itself, so one jet evaluation against the
     fattened scheme covers them all; the X_0 derivative follows from the
     product rule applied to X_0 * dG/dX_0 = deg(G) G - sum X_i dG/dX_i,
@@ -183,7 +185,6 @@ class _GeneratorJets:
     """
 
     def __init__(self, scheme: FatPointScheme):
-        self.scheme = scheme
         self.js = jet_system(scheme)
         js_fat = jet_system(scheme.fattening())
         self.pos = self.js.pos
@@ -191,7 +192,7 @@ class _GeneratorJets:
         for d in sorted(minimal_generators(scheme)):
             for g in minimal_generators(scheme)[d]:
                 self.gens.append(_primitive_int_poly(g))
-        self.pjets: dict[tuple[int, int], list[Fraction]] = {}
+        self.pjets: dict[tuple[int, int], list[Fraction | int]] = {}
         n = scheme.n
         for gi, g in enumerate(self.gens):
             fat = js_fat.poly_jets(g)
@@ -200,25 +201,25 @@ class _GeneratorJets:
                     fat[js_fat.pos[(j, _bump(gamma, i - 1))]]
                     for (j, gamma) in self.js.index
                 ]
-            x0_part = [Fraction(0)] * self.js.dim
+            x0_part = [0] * self.js.dim
             for i in range(1, n + 1):
                 shifted = self.js.shift_by_variable(self.pjets[(gi, i)], i)
                 x0_part = [a - b for a, b in zip(x0_part, shifted)]
             self.pjets[(gi, 0)] = x0_part
 
-    def product_jets(self, alpha: Exponents, gi: int, i: int) -> list[Fraction]:
-        """Jet vector of X^alpha * dG_gi/dX_i by the Leibniz rule."""
+    def product_jets(self, alpha: Exponents, gi: int, i: int) -> list[Fraction | int]:
+        """Jet vector of X^alpha * dG_gi/dX_i by the Leibniz rule, which
+        keeps this per-degree route independent of the shifts of the sweep."""
         hjets = self.pjets[(gi, i)]
         out = []
-        cache: dict[tuple[int, Exponents], Fraction] = {}
+        cache: dict[tuple[int, Exponents], Fraction | int] = {}
         for k, (j, gamma) in enumerate(self.js.index):
-            total = Fraction(0)
+            total = 0
             for gp in _sub_multiindices(gamma, alpha[1:]):
                 key = (j, gp)
                 mono_val = cache.get(key)
                 if mono_val is None:
-                    mono_val = self._monomial_jet(j, gp, alpha)
-                    cache[key] = mono_val
+                    mono_val = cache[key] = self.js.value(j, gp, alpha)
                 if mono_val:
                     rest = tuple(a - b for a, b in zip(gamma, gp))
                     hval = hjets[self.pos[(j, rest)]]
@@ -229,21 +230,6 @@ class _GeneratorJets:
                         total += binom * mono_val * hval
             out.append(total)
         return out
-
-    def _monomial_jet(self, j: int, gamma: Exponents, alpha: Exponents) -> Fraction:
-        aff = self.scheme.points[j].affine()
-        val = Fraction(1)
-        for t, g in enumerate(gamma):
-            b = alpha[t + 1]
-            if b < g:
-                return Fraction(0)
-            f = 1
-            for k in range(g):
-                f *= b - k
-            val *= f
-            if b - g:
-                val *= aff[t] ** (b - g)
-        return val
 
 
 def _bump(gamma: Exponents, t: int) -> Exponents:
@@ -291,7 +277,7 @@ def _differential_rows(
             continue
         for J in combinations(indices, m - 1):
             for alpha in degree_slice(n, delta):
-                row = [Fraction(0)] * (basis.size * D)
+                row = [0] * (basis.size * D)
                 nonzero = False
                 for i in indices:
                     if i in J:

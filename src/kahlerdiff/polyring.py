@@ -16,10 +16,6 @@ from typing import Iterator, Mapping, Sequence
 Exponents = tuple[int, ...]
 
 
-def monomial_degree(exps: Exponents) -> int:
-    return sum(exps)
-
-
 def monomial_key(exps: Exponents):
     """Sort key for degree-reverse-lexicographic order (ascending)."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -43,11 +39,6 @@ def degree_slice(n: int, degree: int) -> tuple[Exponents, ...]:
     monos = sorted(monomials_of_degree(n + 1, degree), key=monomial_key, reverse=True)
     assert len(monos) == comb(n + degree, n)
     return tuple(monos)
-
-
-@lru_cache(maxsize=None)
-def slice_index(n: int, degree: int) -> dict[Exponents, int]:
-    return {m: i for i, m in enumerate(degree_slice(n, degree))}
 
 
 class HomogPoly:
@@ -170,18 +161,6 @@ class HomogPoly:
 
     def __repr__(self):
         return f"HomogPoly({format_poly(self)!r})"
-
-
-def multiply(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    return f * g
-
-
-def partial(f: HomogPoly, i: int) -> HomogPoly:
-    return f.partial(i)
-
-
-def evaluate(f: HomogPoly, point: Sequence[Fraction]) -> Fraction:
-    return f.evaluate(point)
 
 
 def euler_sum(f: HomogPoly) -> HomogPoly:

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from math import comb, gcd
+from itertools import count, product
+from math import comb, perm
 from typing import Iterable, Iterator, Sequence
 
-from .exactla import Echelon, bareiss_pivots, integer_rows, kernel_standard, rank_int
-from .polyring import Exponents, HomogPoly, degree_slice
+from .exactla import Echelon, integer_rows, kernel_standard, rank_int
+from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
 
 __all__ = [
     "CoordinateAssumptionError",
@@ -188,119 +188,64 @@ def _jet_orders(n: int, max_order: int) -> list[Exponents]:
     """Multi-indices over the affine variables with |gamma| <= max_order."""
     out: list[Exponents] = []
     for total in range(max_order + 1):
-        out.extend(sorted(_compositions(n, total)))
-    return out
-
-
-def _compositions(n: int, total: int) -> list[Exponents]:
-    if n == 1:
-        return [(total,)]
-    result = []
-    for first in range(total + 1):
-        for rest in _compositions(n - 1, total - first):
-            result.append((first,) + rest)
-    return result
-
-
-def _falling(b: int, g: int) -> int:
-    if b < g:
-        return 0
-    out = 1
-    for k in range(g):
-        out *= b - k
+        out.extend(sorted(monomials_of_degree(n, total)))
     return out
 
 
 class JetSystem:
-    """The jet functionals of a scheme, with integer-scaled evaluation.
+    """The jet functionals of a scheme, evaluated exactly.
 
     Functional (j, gamma) sends F to the gamma-partial (in the affine
-    variables X_1..X_n) of F evaluated at P_j.  Scaled by
-    q_j^{|gamma|} * (Q/q_j)^{d - beta_0} per monomial, values are integers
-    and the scaled column of X_0*F coincides with the column of F.  The
-    unscaled jets, on which `shift_by_variable` acts, are what `span_sweep`
-    grows degree by degree.
+    variables X_1..X_n) of F evaluated at P_j.  Every P_j has first
+    coordinate 1, so X_0 acts as the identity on jets.  The affine
+    coordinates are stored once, as ints where they are integral and as
+    Fractions otherwise, so on an integral scheme the jets of an integer
+    polynomial are ints.  `span_sweep` grows spans of jet vectors degree
+    by degree with `shift_by_variable`.
     """
 
     def __init__(self, scheme: FatPointScheme):
         self.scheme = scheme
-        n = scheme.n
-        self.all_integral = True
-        self.qs: list[int] = []
-        self.ints: list[tuple[int, ...]] = []
-        for p in scheme.points:
-            aff = p.affine()
-            q = 1
-            for c in aff:
-                q = q // gcd(q, c.denominator) * c.denominator
-            self.qs.append(q)
-            self.ints.append(tuple(int(c * q) for c in aff))
-            if q != 1:
-                self.all_integral = False
-        self.Q = 1
-        for q in self.qs:
-            self.Q *= q
+        self.coords: list[tuple[Fraction | int, ...]] = [
+            tuple(int(c) if c.denominator == 1 else c for c in p.affine())
+            for p in scheme.points
+        ]
         self.index: list[tuple[int, Exponents]] = []
         for j, m in enumerate(scheme.mults):
-            for gamma in _jet_orders(n, m - 1):
+            for gamma in _jet_orders(scheme.n, m - 1):
                 self.index.append((j, gamma))
         self.dim = len(self.index)
         self.pos = {key: k for k, key in enumerate(self.index)}
         assert self.dim == scheme.degree()
 
-    def monomial_column(self, beta: Exponents, d: int) -> list[int]:
-        """Scaled values of every functional on the monomial X^beta."""
-        col = []
-        for j, gamma in self.index:
-            col.append(self._scaled_value(j, gamma, beta, d))
-        return col
-
-    def _scaled_value(self, j: int, gamma: Exponents, beta: Exponents, d: int) -> int:
-        a = self.ints[j]
-        q = self.qs[j]
+    def value(self, j: int, gamma: Exponents, beta: Exponents) -> Fraction | int:
+        """The gamma-partial of the monomial X^beta at P_j."""
+        a = self.coords[j]
         val = 1
         for i, g in enumerate(gamma):
             b = beta[i + 1]
             if b < g:
                 return 0
-            val *= _falling(b, g) * a[i] ** (b - g)
-        if q != 1:
-            val *= q ** sum(gamma)
-        if self.Q != q:
-            val *= (self.Q // q) ** (d - beta[0])
+            val *= perm(b, g) * a[i] ** (b - g)
         return val
 
-    def poly_jets(self, f: HomogPoly) -> list[Fraction]:
-        """Unscaled jet vector of a polynomial (rational values)."""
-        int_path = self.all_integral and all(
-            c.denominator == 1 for c in f.terms.values()
-        )
-        terms = (
-            [(beta, int(c)) for beta, c in f.terms.items()]
-            if int_path
-            else list(f.terms.items())
-        )
-        out = []
-        for j, gamma in self.index:
-            aff = self.ints[j] if int_path else self.scheme.points[j].affine()
-            total = 0 if int_path else Fraction(0)
-            for beta, coeff in terms:
-                val = coeff
-                ok = True
-                for i, g in enumerate(gamma):
-                    b = beta[i + 1]
-                    if b < g:
-                        ok = False
-                        break
-                    val *= _falling(b, g)
-                    if b - g:
-                        val *= aff[i] ** (b - g)
-                if ok:
-                    total += val
-            out.append(Fraction(total) if int_path else total)
-        return out
+    def monomial_column(self, beta: Exponents) -> list[Fraction | int]:
+        """Values of every functional on the monomial X^beta."""
+        return [self.value(j, gamma, beta) for j, gamma in self.index]
 
-    def shift_by_variable(self, vec: Sequence[Fraction], i: int) -> list[Fraction]:
+    def poly_jets(self, f: HomogPoly) -> list[Fraction | int]:
+        """Jet vector of a polynomial."""
+        terms = [
+            (beta, int(c) if c.denominator == 1 else c) for beta, c in f.terms.items()
+        ]
+        return [
+            sum(c * self.value(j, gamma, beta) for beta, c in terms)
+            for j, gamma in self.index
+        ]
+
+    def shift_by_variable(
+        self, vec: Sequence[Fraction | int], i: int
+    ) -> list[Fraction | int]:
         """Jet vector of X_i * H from the jet vector of H (a sparse linear map).
 
         For the affine variables, d^gamma(X_i H) = p_i d^gamma H +
@@ -310,8 +255,7 @@ class JetSystem:
             return list(vec)
         out = []
         for k, (j, gamma) in enumerate(self.index):
-            p = self.scheme.points[j].affine()[i - 1]
-            val = p * vec[k]
+            val = self.coords[j][i - 1] * vec[k]
             g = gamma[i - 1]
             if g:
                 lower = gamma[: i - 1] + (g - 1,) + gamma[i:]
@@ -375,7 +319,7 @@ def hf_table(scheme: FatPointScheme) -> HFTable:
     coordinates, which is exactly the regularity index.
     """
     js = jet_system(scheme)
-    entering = {0: [js.monomial_column((0,) * (scheme.n + 1), 0)]}
+    entering = {0: [js.monomial_column((0,) * (scheme.n + 1))]}
     cap = _scan_cap(scheme)
     values = []
     for d, rank in enumerate(span_sweep(js, 1, entering)):
@@ -419,10 +363,7 @@ def _slice_data(scheme: FatPointScheme, d: int) -> tuple[tuple[HomogPoly, ...], 
     n = scheme.n
     js = jet_system(scheme)
     monos = degree_slice(n, d)
-    rows = [
-        [js._scaled_value(j, gamma, beta, d) for beta in monos]
-        for (j, gamma) in js.index
-    ]
+    rows = [[js.value(j, gamma, beta) for beta in monos] for (j, gamma) in js.index]
     basis, free_cols = kernel_standard(rows, ncols=len(monos))
     polys = tuple(HomogPoly.from_coeffs(n, d, vec) for vec in basis)
     expected = comb(n + d, n) - hf_table(scheme).value(d)
@@ -441,9 +382,10 @@ def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...
 
     Degrees up to r_W + 1 suffice to generate the whole ideal.  Per degree
     the variable multiples of the previous slice are expressed in the
-    coordinates read off at the free columns of the standard-form basis;
-    the basis vectors at non-pivot coordinates of that product matrix
-    extend it to the full slice and are the new generators.
+    coordinates read off at the free columns of the standard-form basis and
+    inserted into an `Echelon`; the basis vectors at its non-pivot columns
+    extend it to the full slice and are the new generators.  The pivot
+    columns of a row space do not depend on the order of its rows.
     """
     n = scheme.n
     r = regularity_index(scheme)
@@ -453,20 +395,17 @@ def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...
         curr, free_cols = _slice_data(scheme, delta)
         if not curr:
             continue
-        prev = ideal_slice(scheme, delta - 1)
         free_monos = [degree_slice(n, delta)[f] for f in free_cols]
-        products = []
-        for v in prev:
-            for i in range(n + 1):
-                shifted = v.times_monomial(tuple(int(k == i) for k in range(n + 1)))
-                products.append(
-                    [shifted.terms.get(mono, Fraction(0)) for mono in free_monos]
-                )
-        if products:
-            _, pivot_cols = bareiss_pivots(integer_rows(products))
-            covered = set(pivot_cols)
-        else:
-            covered = set()
+        ech = Echelon(len(free_monos))
+        for v, i in product(ideal_slice(scheme, delta - 1), range(n + 1)):
+            if ech.rank == len(free_monos):
+                break
+            # coefficients of X_i * v at the free monomials
+            ech.insert([
+                v.terms.get(mono[:i] + (mono[i] - 1,) + mono[i + 1 :], 0) if mono[i] else 0
+                for mono in free_monos
+            ])
+        covered = set(ech.pivots)
         new = [curr[k] for k in range(len(curr)) if k not in covered]
         if new:
             gens[delta] = tuple(new)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kahlerdiff.schemes import FatPointScheme, ProjPoint
+from kahlerdiff.schemes import FatPointScheme, ProjPoint, apply_coordinate_change
 
 
 def random_scheme(rng: random.Random, max_n=3, max_s=5, max_mult=3) -> FatPointScheme:
@@ -15,6 +15,16 @@ def random_scheme(rng: random.Random, max_n=3, max_s=5, max_mult=3) -> FatPointS
         points.add(tuple(rng.randint(-4, 4) for _ in range(n)))
     mults = [rng.randint(1, max_mult) for _ in range(s)]
     return FatPointScheme(n, [ProjPoint((1,) + p) for p in sorted(points)], mults)
+
+
+def off_integers(scheme: FatPointScheme) -> FatPointScheme:
+    """Image of `scheme` under X_i -> X_i + X_0/(i+2), which leaves every
+    point with a non-integral affine coordinate."""
+    n = scheme.n
+    shift = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    for i in range(1, n + 1):
+        shift[i][0] = Fraction(1, i + 2)
+    return apply_coordinate_change(scheme, shift)
 
 
 @pytest.fixture

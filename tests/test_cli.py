@@ -64,6 +64,14 @@ def test_hf_max_degree_omits_certificate(scheme_file):
     assert "certificate" not in table and "hp" not in table
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_max_degree_rejected(scheme_file, fmt):
+    res = run_cli("hf", scheme_file, "--max-degree", "-3", "--format", fmt)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--max-degree" in res.stderr
+
+
 def test_output_determinism_across_thread_counts(scheme_file):
     base = run_cli("hf", scheme_file, "--format", "json").stdout
     rerun = run_cli("hf", scheme_file, "--format", "json").stdout

@@ -15,7 +15,7 @@ from kahlerdiff.kaehler import (
 from kahlerdiff.polyring import HomogPoly, parse_poly
 from kahlerdiff.schemes import FatPointScheme, ProjPoint, hf_table, hilbert_function
 
-from conftest import random_scheme
+from conftest import off_integers, random_scheme
 
 
 def simple(n, *coords_list, mults=None):
@@ -297,3 +297,18 @@ def test_sweep_matches_dense_presentation():
             for d in range(m, o.cert_degree + 2):
                 dense = submodule_slice(s, m, d, method="dense")
                 assert o.table.value(d) == comb(n + 1, m) * comb(n + d - m, n) - dense
+
+
+def test_form_tables_invariant_under_coordinate_change():
+    """A linear change of coordinates is a graded automorphism of S, so it
+    leaves every form table unchanged; here it moves the points off the
+    integers, where the ideal data runs on rational jets."""
+    import random
+
+    rng = random.Random(1618)
+    for _ in range(5):
+        s = random_scheme(rng, max_s=3, max_mult=2)
+        moved = off_integers(s)
+        for m in range(1, s.n + 2):
+            assert omega_hf(moved, m).table == omega_hf(s, m).table, (s, m)
+        assert top_form_hf(moved).table == top_form_hf(s).table

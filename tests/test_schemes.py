@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from kahlerdiff.exactla import rank_int
-from kahlerdiff.polyring import degree_slice, parse_poly
+from kahlerdiff.exactla import integer_rows, rank_int
+from kahlerdiff.polyring import HomogPoly, degree_slice, parse_poly
 from kahlerdiff.schemes import (
     CoordinateAssumptionError,
     FatPointScheme,
@@ -25,7 +25,7 @@ from kahlerdiff.schemes import (
     scheme_to_json_dict,
 )
 
-from conftest import random_scheme
+from conftest import off_integers, random_scheme
 
 
 def simple(n, *coords_list, mults=None):
@@ -177,22 +177,53 @@ def test_hf_nondecreasing_and_reaches_degree(rng):
 
 
 def test_hf_table_matches_literal_jet_matrix():
-    """The sweep against the rank of the whole scaled jet matrix, degree by
-    degree, on criterion-9 schemes moved to non-integral coordinates."""
+    """The sweep against the rank of the whole jet matrix, degree by degree,
+    on criterion-9 schemes moved to non-integral coordinates."""
     rng = random.Random(55012)
     for _ in range(12):
-        base = random_scheme(rng)
-        n = base.n
-        shift = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-        for i in range(1, n + 1):
-            shift[i][0] = Fraction(1, i + 2)
-        s = apply_coordinate_change(base, shift)
+        s = off_integers(random_scheme(rng))
+        n = s.n
+        assert any(c.denominator != 1 for p in s.points for c in p.coords)
         js = jet_system(s)
-        assert not js.all_integral
         table = hf_table(s)
         for d in range(table.stable_from + 2):
-            cols = [js.monomial_column(beta, d) for beta in degree_slice(n, d)]
-            assert table.value(d) == rank_int([list(r) for r in zip(*cols)])
+            cols = [js.monomial_column(beta) for beta in degree_slice(n, d)]
+            assert table.value(d) == rank_int(integer_rows(zip(*cols)))
+
+
+def test_jet_evaluator_against_independent_routes():
+    """One evaluator, three routes: shifting the column of X^beta by X_i
+    gives the column of X_i X^beta, `poly_jets` agrees with the partial
+    derivatives of `HomogPoly` evaluated at the points, and on integral
+    schemes every jet of an integer polynomial is an int."""
+    rng = random.Random(31415)
+    for _ in range(8):
+        base = random_scheme(rng, max_s=3)
+        for s, integral in ((base, True), (off_integers(base), False)):
+            js = jet_system(s)
+            n = s.n
+            for d in range(4):
+                f = HomogPoly.from_coeffs(
+                    n, d, [rng.randint(-5, 5) for _ in degree_slice(n, d)]
+                )
+                jets = js.poly_jets(f)
+                for k, (j, gamma) in enumerate(js.index):
+                    g = f
+                    for i, e in enumerate(gamma, start=1):
+                        for _ in range(e):
+                            g = g.partial(i)
+                    assert jets[k] == g.evaluate(s.points[j].coords)
+                for beta in degree_slice(n, d):
+                    col = js.monomial_column(beta)
+                    shifts = [js.shift_by_variable(col, i) for i in range(n + 1)]
+                    for i, shifted in enumerate(shifts):
+                        up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                        assert shifted == js.monomial_column(up)
+                    if integral:
+                        entries = col + [v for vec in shifts for v in vec]
+                        assert all(type(v) is int for v in entries)
+                if integral:
+                    assert all(type(v) is int for v in jets)
 
 
 def test_inclusion_reversal(rng):
@@ -205,11 +236,12 @@ def test_inclusion_reversal(rng):
 
 def test_slice_members_have_vanishing_jets(rng):
     for _ in range(5):
-        s = random_scheme(rng, max_s=3)
-        js = jet_system(s)
-        d = initial_degree(s) + 1
-        for p in ideal_slice(s, d):
-            assert all(v == 0 for v in js.poly_jets(p))
+        base = random_scheme(rng, max_s=3)
+        for s in (base, off_integers(base)):
+            js = jet_system(s)
+            d = initial_degree(s) + 1
+            for p in ideal_slice(s, d):
+                assert all(v == 0 for v in js.poly_jets(p))
 
 
 def test_conic_regularity_matches_formula(conic8_points):
