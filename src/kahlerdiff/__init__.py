@@ -17,6 +17,7 @@ from .schemes import (
     FatPointScheme,
     HFTable,
     ProjPoint,
+    StabilizationError,
     generator_degrees,
     hf_table,
     hilbert_function,
@@ -33,6 +34,7 @@ __all__ = [
     "HomogPoly",
     "OmegaHF",
     "ProjPoint",
+    "StabilizationError",
     "WedgeBasis",
     "format_poly",
     "generator_degrees",

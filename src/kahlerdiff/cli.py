@@ -1,7 +1,8 @@
 """Command-line front end: scheme reports, bound summaries, table verification.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 coordinate-assumption violation (a support point on X_0 = 0).
+3 coordinate-assumption violation (a support point on X_0 = 0),
+4 a Hilbert table that did not stabilize below its scan cap.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .kaehler import koszul_check, omega_hf, omega_hf_prefix
 from .schemes import (
     CoordinateAssumptionError,
     FatPointScheme,
+    StabilizationError,
     hf_table,
     regularity_index,
     scheme_from_json_dict,
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_COORDS = 3
+EXIT_STABILIZATION = 4
 
 
 def _load_scheme(path: str) -> FatPointScheme:
@@ -244,6 +247,9 @@ def main(argv=None) -> int:
     except CoordinateAssumptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COORDS
+    except StabilizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STABILIZATION
     except (json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,11 +4,12 @@ Every dimension count in this package comes down to a row space over Q.
 Scalars are `fractions.Fraction` (exposed as `Rational`); rows are scaled
 to integers by clearing denominators row-wise.  `Echelon` is the one
 kernel: an incremental, fraction-free reduced echelon form that the Hilbert
-tables grow degree by degree, that `kernel_standard` reads kernel bases
-off and whose pivot columns pick the minimal generators.  Bareiss
-elimination (`rank_int`, `bareiss_pivots`) ranks a whole integer matrix in
-one pass; it serves the one-shot checks (a single-degree `submodule_slice`,
-general position) and is the oracle the tests hold the sweeps against.
+tables grow degree by degree, that `kernel_standard` reads primitive
+integer kernel bases off, with no `Fraction` built, and whose pivot columns
+pick the minimal generators.  Bareiss elimination (`rank_int`,
+`bareiss_pivots`) ranks a whole integer matrix in one pass; it serves the
+one-shot checks (a single-degree `submodule_slice`, general position) and
+is the oracle the tests hold the sweeps against.
 `rref` and `ExactMatrix.rank_naive` are rational-arithmetic oracles for the
 tests.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -171,14 +172,17 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
 
 def kernel_standard(
     rows: Sequence[Sequence[Fraction | int]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Kernel basis in standard form, with the free columns that index it.
+) -> tuple[list[list[int]], list[int]]:
+    """Kernel basis as primitive integer vectors, with the free columns that
+    index it.
 
-    Basis vector k has value 1 at free column k and 0 at the other free
-    columns, so the coordinates of any kernel element with respect to this
-    basis can be read off at the free columns.  The basis is unique; it is
-    read off the `Echelon` of the rows, whose row at pivot p is a positive
-    multiple of the reduced echelon row at p.
+    Basis vector k is positive at free column k and 0 at the other free
+    columns; divided by its entry at free column k it is the unique
+    standard-form basis vector, so the coordinates of any kernel element can
+    be read off at the free columns.  It is read off the `Echelon` of the
+    rows, whose row at pivot p is a positive multiple of the reduced echelon
+    row at p: with L the lcm of row[p] over the rows with row[free] != 0,
+    v[free] = L and v[p] = -row[free] * (L / row[p]), divided by the content.
     """
     ech = Echelon(ncols)
     for row in rows:
@@ -189,10 +193,15 @@ def kernel_standard(
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, p in zip(ech.rows, ech.pivots):
-            v[p] = Fraction(-row[free], row[p])
+        hits = [(row, p) for row, p in zip(ech.rows, ech.pivots) if row[free]]
+        L = lcm(*(row[p] for row, p in hits))
+        v = [0] * ncols
+        v[free] = L
+        for row, p in hits:
+            v[p] = -row[free] * (L // row[p])
+        g = gcd(L, *(v[p] for _, p in hits))
+        if g != 1:
+            v = [x // g for x in v]
         basis.append(v)
         free_cols.append(free)
     return basis, free_cols

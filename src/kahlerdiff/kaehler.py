@@ -12,12 +12,15 @@ The ideal-multiple rows fill a full block of known dimension, so the rank
 is computed in quotient coordinates: each coefficient polynomial is
 replaced by its jet vector, whose kernel is exactly the ideal slice.  Jets
 come from the one exact evaluator `schemes.JetSystem`: ints when every
-point has integral coordinates, Fractions otherwise.  The
-Hilbert tables grow that image degree by degree on `schemes.span_sweep`,
-the one sweep (on the one `Echelon`) that also gives the Hilbert function
-of the scheme; `submodule_slice` ranks a single degree from scratch by
-Bareiss elimination, and it and its literal dense-matrix path are the
-oracles the tests hold the sweep against.
+point has integral coordinates, Fractions otherwise.  The generators are
+primitive integer polynomials, and the jets of their partial derivatives
+are read off the jets of the generators on the fattened scheme, evaluated
+in one `poly_jets` call per generator degree.  The Hilbert tables grow
+that image degree by degree on `schemes.span_sweep`, the one sweep (on the
+one `Echelon`) that also gives the Hilbert function of the scheme;
+`submodule_slice` ranks a single degree from scratch by Bareiss
+elimination, and it and its literal dense-matrix path are the oracles the
+tests hold the sweep against.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from math import comb, gcd
+from math import comb
 from typing import Iterator, Sequence
 
 from .exactla import integer_rows, rank_int
@@ -37,6 +40,7 @@ from .polyring import Exponents, HomogPoly, degree_slice
 from .schemes import (
     FatPointScheme,
     HFTable,
+    StabilizationError,
     hf_table,
     hilbert_function,
     ideal_slice,
@@ -159,20 +163,6 @@ def wedge_with_differential(
 
 # --- generator pool with precomputed jets ---------------------------------
 
-def _primitive_int_poly(f: HomogPoly) -> HomogPoly:
-    lcm = 1
-    for c in f.terms.values():
-        d = c.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    g = f.scale(lcm)
-    content = 0
-    for c in g.terms.values():
-        content = gcd(content, abs(int(c)))
-    if content > 1:
-        g = g.scale(Fraction(1, content))
-    return g
-
-
 class _GeneratorJets:
     """Partial derivatives of the ideal generators with their jet vectors.
 
@@ -189,13 +179,13 @@ class _GeneratorJets:
         js_fat = jet_system(scheme.fattening())
         self.pos = self.js.pos
         self.gens: list[HomogPoly] = []
-        for d in sorted(minimal_generators(scheme)):
-            for g in minimal_generators(scheme)[d]:
-                self.gens.append(_primitive_int_poly(g))
+        fats: list[list[Fraction | int]] = []
+        for _, batch in sorted(minimal_generators(scheme).items()):
+            self.gens.extend(batch)
+            fats.extend(js_fat.poly_jets(batch))
         self.pjets: dict[tuple[int, int], list[Fraction | int]] = {}
         n = scheme.n
-        for gi, g in enumerate(self.gens):
-            fat = js_fat.poly_jets(g)
+        for gi, fat in enumerate(fats):
             for i in range(1, n + 1):
                 self.pjets[(gi, i)] = [
                     fat[js_fat.pos[(j, _bump(gamma, i - 1))]]
@@ -316,8 +306,9 @@ def _dense_submodule_rank(
         return 0
     ncoef = comb(n + cdeg, n)
     rows: list[list[Fraction]] = []
+    members = ideal_slice(scheme, cdeg)
     for k in range(basis.size):
-        for v in ideal_slice(scheme, cdeg):
+        for v in members:
             row = [Fraction(0)] * (basis.size * ncoef)
             row[k * ncoef : (k + 1) * ncoef] = v.coeff_vector()
             rows.append(row)
@@ -460,7 +451,9 @@ def _certified(
             cap = max(cap, regularity_index(scheme.fattening()) + scheme.n + 2)
             cap_extended = True
         if d > cap:
-            raise RuntimeError(f"Omega^{m} Hilbert function did not stabilize below {cap}")
+            raise StabilizationError(
+                f"Omega^{m} Hilbert function did not stabilize below {cap}"
+            )
     raise AssertionError("the sweep is endless")
 
 

@@ -26,6 +26,7 @@ from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
 
 __all__ = [
     "CoordinateAssumptionError",
+    "StabilizationError",
     "ProjPoint",
     "FatPointScheme",
     "HFTable",
@@ -44,6 +45,10 @@ __all__ = [
 
 class CoordinateAssumptionError(ValueError):
     """A support point lies on the hyperplane X_0 = 0."""
+
+
+class StabilizationError(RuntimeError):
+    """A Hilbert table did not stabilize below its scan cap."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,11 @@ class FatPointScheme:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "mults", mults)
+        # every cache is keyed by the scheme, so hash it once
+        object.__setattr__(self, "_hash", hash((n, points, mults)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def s(self) -> int:
@@ -233,15 +243,26 @@ class JetSystem:
         """Values of every functional on the monomial X^beta."""
         return [self.value(j, gamma, beta) for j, gamma in self.index]
 
-    def poly_jets(self, f: HomogPoly) -> list[Fraction | int]:
-        """Jet vector of a polynomial."""
-        terms = [
-            (beta, int(c) if c.denominator == 1 else c) for beta, c in f.terms.items()
-        ]
-        return [
-            sum(c * self.value(j, gamma, beta) for beta, c in terms)
-            for j, gamma in self.index
-        ]
+    def poly_jets(self, polys: Sequence[HomogPoly]) -> list[list[Fraction | int]]:
+        """Jet vectors of several polynomials, such as the generators of one
+        degree.  Each monomial that occurs in one of them is evaluated once,
+        and its column is shared by all of them; nothing is kept after the
+        call."""
+        columns: dict[Exponents, list[Fraction | int]] = {}
+        out = []
+        for f in polys:
+            vec: list[Fraction | int] = [0] * self.dim
+            for beta, c in f.terms.items():
+                col = columns.get(beta)
+                if col is None:
+                    col = columns[beta] = [
+                        self.value(j, gamma, beta) for j, gamma in self.index
+                    ]
+                if c.denominator == 1:
+                    c = c.numerator
+                vec = [a + c * x for a, x in zip(vec, col)]
+            out.append(vec)
+        return out
 
     def shift_by_variable(
         self, vec: Sequence[Fraction | int], i: int
@@ -327,7 +348,7 @@ def hf_table(scheme: FatPointScheme) -> HFTable:
         if rank == js.dim:
             return HFTable(tuple(values), d, js.dim)
         if d == cap:
-            raise RuntimeError(
+            raise StabilizationError(
                 f"Hilbert function failed to stabilize below the cap {cap}"
             )
     raise AssertionError("the sweep is endless")
@@ -356,36 +377,47 @@ def initial_degree(scheme: FatPointScheme) -> int:
 
 
 @lru_cache(maxsize=None)
-def _slice_data(scheme: FatPointScheme, d: int) -> tuple[tuple[HomogPoly, ...], tuple[int, ...]]:
-    """Kernel basis of the jet pairing in standard form, with free columns."""
+def _slice_data(scheme: FatPointScheme, d: int) -> tuple[tuple[list[int], ...], tuple[int, ...]]:
+    """The degree-d ideal slice as coefficient vectors over `degree_slice`,
+    with the free columns that index them.
+
+    The vectors are `kernel_standard`'s primitive integer basis of the jet
+    pairing: vector k is positive at free column k and zero at the others.
+    """
     if d < 0:
         return (), ()
-    n = scheme.n
     js = jet_system(scheme)
-    monos = degree_slice(n, d)
+    monos = degree_slice(scheme.n, d)
     rows = [[js.value(j, gamma, beta) for beta in monos] for (j, gamma) in js.index]
     basis, free_cols = kernel_standard(rows, ncols=len(monos))
-    polys = tuple(HomogPoly.from_coeffs(n, d, vec) for vec in basis)
-    expected = comb(n + d, n) - hf_table(scheme).value(d)
-    assert len(polys) == expected
-    return polys, tuple(free_cols)
+    assert len(basis) == comb(scheme.n + d, scheme.n) - hf_table(scheme).value(d)
+    return tuple(basis), tuple(free_cols)
 
 
 def ideal_slice(scheme: FatPointScheme, d: int) -> tuple[HomogPoly, ...]:
-    """Basis of the degree-d slice of the vanishing ideal of the scheme."""
-    return _slice_data(scheme, d)[0]
+    """Basis of the degree-d slice of the vanishing ideal of the scheme, in
+    standard form: member k has coefficient 1 at the k-th free monomial and
+    0 at the other free monomials.  The library works on the integer
+    vectors of `_slice_data`; the tests and the dense oracle call this."""
+    vecs, free_cols = _slice_data(scheme, d)
+    return tuple(
+        HomogPoly.from_coeffs(scheme.n, d, [Fraction(x, v[f]) for x in v])
+        for v, f in zip(vecs, free_cols)
+    )
 
 
 @lru_cache(maxsize=None)
 def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...]]:
-    """Minimal homogeneous generators of I_W, grouped by degree.
+    """Minimal homogeneous generators of I_W, grouped by degree, each as a
+    primitive integer polynomial.
 
     Degrees up to r_W + 1 suffice to generate the whole ideal.  Per degree
     the variable multiples of the previous slice are expressed in the
-    coordinates read off at the free columns of the standard-form basis and
+    coordinates read off at the free columns of the slice basis and
     inserted into an `Echelon`; the basis vectors at its non-pivot columns
-    extend it to the full slice and are the new generators.  The pivot
-    columns of a row space do not depend on the order of its rows.
+    extend them to the full slice and are the new generators.  The pivot
+    columns of a row space depend neither on the order nor on the scaling
+    of its rows.
     """
     n = scheme.n
     r = regularity_index(scheme)
@@ -395,18 +427,27 @@ def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...
         curr, free_cols = _slice_data(scheme, delta)
         if not curr:
             continue
-        free_monos = [degree_slice(n, delta)[f] for f in free_cols]
-        ech = Echelon(len(free_monos))
-        for v, i in product(ideal_slice(scheme, delta - 1), range(n + 1)):
-            if ech.rank == len(free_monos):
+        prev = _slice_data(scheme, delta - 1)[0]
+        monos = degree_slice(n, delta)
+        where = {mono: k for k, mono in enumerate(degree_slice(n, delta - 1))}
+        # lookups[i][c]: index of X^mono / X_i in degree delta - 1, for the
+        # free monomial mono at c, or None when X_i does not divide it
+        lookups = [
+            [where[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]] if mono[i] else None
+             for mono in (monos[f] for f in free_cols)]
+            for i in range(n + 1)
+        ]
+        ech = Echelon(len(free_cols))
+        for v, lookup in product(prev, lookups):
+            if ech.rank == len(free_cols):
                 break
             # coefficients of X_i * v at the free monomials
-            ech.insert([
-                v.terms.get(mono[:i] + (mono[i] - 1,) + mono[i + 1 :], 0) if mono[i] else 0
-                for mono in free_monos
-            ])
+            ech.insert([0 if k is None else v[k] for k in lookup])
         covered = set(ech.pivots)
-        new = [curr[k] for k in range(len(curr)) if k not in covered]
+        new = [
+            HomogPoly.from_coeffs(n, delta, curr[k])
+            for k in range(len(curr)) if k not in covered
+        ]
         if new:
             gens[delta] = tuple(new)
     return gens

@@ -27,6 +27,19 @@ def off_integers(scheme: FatPointScheme) -> FatPointScheme:
     return apply_coordinate_change(scheme, shift)
 
 
+def jets_by_partials(f, scheme: FatPointScheme, index) -> list[Fraction]:
+    """Jet vector of `f` at the functionals `index` of `scheme`: the
+    gamma-partial of f, by `HomogPoly.partial`, evaluated at P_j."""
+    out = []
+    for j, gamma in index:
+        g = f
+        for i, e in enumerate(gamma, start=1):
+            for _ in range(e):
+                g = g.partial(i)
+        out.append(g.evaluate(scheme.points[j].coords))
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

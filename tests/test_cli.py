@@ -175,3 +175,49 @@ def test_integer_coordinates_accepted(tmp_path):
     res = run_cli("hf", str(path), "--m", "0")
     assert res.returncode == 0
     assert res.stdout.startswith("HF_W")
+
+
+def _shipped(tmp_path, name):
+    from importlib import resources
+
+    path = tmp_path / name
+    path.write_text(resources.files("kahlerdiff.data").joinpath(name).read_text())
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hf", "--format", "text"], ["hf", "--format", "csv"], ["hf", "--format", "json"],
+     ["bounds", "--format", "text"], ["bounds", "--format", "json"]],
+    ids=["hf-text", "hf-csv", "hf-json", "bounds-text", "bounds-json"],
+)
+def test_scan_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
+    """A Hilbert function that does not stabilize below its cap exits 4
+    with one error line, in every output format."""
+    from kahlerdiff import cli, schemes
+
+    path = _shipped(tmp_path, "nine_points_p2.json")
+    monkeypatch.setattr(schemes, "_scan_cap", lambda scheme: 0)
+    schemes.hf_table.cache_clear()
+    assert cli.main([argv[0], path, *argv[1:]]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Hilbert function failed to stabilize")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_form_scan_cap_exit_code(tmp_path, monkeypatch, capsys, fmt):
+    """The same exit code when a form table never repeats a value."""
+    from itertools import count
+
+    from kahlerdiff import cli, kaehler
+
+    path = _shipped(tmp_path, "nine_points_p2.json")
+    monkeypatch.setattr(kaehler, "_sweep", lambda *args: count())
+    kaehler.omega_hf.cache_clear()
+    assert cli.main(["hf", path, "--m", "1", "--format", fmt]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Omega^1 Hilbert function did not stabilize")
+    assert err.count("\n") == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -125,8 +126,18 @@ def test_kernel_standard_matches_rref_oracle():
         cases.append((rows, ncols))
     for rows, ncols in cases:
         fracs = [[Fraction(x) for x in row] for row in rows]
-        assert kernel_standard(fracs, ncols) == _rref_kernel(fracs, ncols)
-        assert kernel_standard(rows, ncols) == _rref_kernel(fracs, ncols)
+        oracle, oracle_free = _rref_kernel(fracs, ncols)
+        for given in (fracs, rows):
+            basis, free_cols = kernel_standard(given, ncols)
+            assert free_cols == oracle_free
+            assert len(basis) == len(oracle)
+            for v, f, w in zip(basis, free_cols, oracle):
+                # primitive, positive at its free column, and the rref basis
+                # vector once divided by that entry
+                assert all(type(x) is int for x in v)
+                assert gcd(*v) == 1
+                assert v[f] > 0
+                assert [Fraction(x, v[f]) for x in v] == w
 
 
 def test_bareiss_pivots_complement():

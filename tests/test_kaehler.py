@@ -15,7 +15,7 @@ from kahlerdiff.kaehler import (
 from kahlerdiff.polyring import HomogPoly, parse_poly
 from kahlerdiff.schemes import FatPointScheme, ProjPoint, hf_table, hilbert_function
 
-from conftest import off_integers, random_scheme
+from conftest import jets_by_partials, off_integers, random_scheme
 
 
 def simple(n, *coords_list, mults=None):
@@ -259,6 +259,26 @@ def test_koszul_on_the_line():
     t1, t2 = omega_hf(s, 1).table, omega_hf(s, 2).table
     assert t1.value(6) - t2.value(6) == 6 == hilbert_function(s, 6)
     assert all(koszul_check(s, d) for d in range(12))
+
+
+def test_generator_jets_are_jets_of_partials():
+    """Every stored jet vector of dG/dX_i, X_0 included, equals the jets
+    on the scheme of `g.partial(i)` evaluated at the points, on integral
+    and non-integral schemes."""
+    import random
+
+    from kahlerdiff.kaehler import _generator_jets
+
+    rng = random.Random(14142)
+    for _ in range(5):
+        base = random_scheme(rng, max_s=3, max_mult=2)
+        for s in (base, off_integers(base)):
+            gj = _generator_jets(s)
+            assert gj.gens
+            for gi, g in enumerate(gj.gens):
+                for i in range(s.n + 1):
+                    expected = jets_by_partials(g.partial(i), s, gj.js.index)
+                    assert gj.pjets[(gi, i)] == expected
 
 
 def test_sweep_matches_per_degree_presentation():

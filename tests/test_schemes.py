@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from kahlerdiff.exactla import integer_rows, rank_int
+from kahlerdiff.exactla import integer_rows, rank_int, rref
 from kahlerdiff.polyring import HomogPoly, degree_slice, parse_poly
 from kahlerdiff.schemes import (
     CoordinateAssumptionError,
@@ -25,7 +25,7 @@ from kahlerdiff.schemes import (
     scheme_to_json_dict,
 )
 
-from conftest import off_integers, random_scheme
+from conftest import jets_by_partials, off_integers, random_scheme
 
 
 def simple(n, *coords_list, mults=None):
@@ -206,13 +206,8 @@ def test_jet_evaluator_against_independent_routes():
                 f = HomogPoly.from_coeffs(
                     n, d, [rng.randint(-5, 5) for _ in degree_slice(n, d)]
                 )
-                jets = js.poly_jets(f)
-                for k, (j, gamma) in enumerate(js.index):
-                    g = f
-                    for i, e in enumerate(gamma, start=1):
-                        for _ in range(e):
-                            g = g.partial(i)
-                    assert jets[k] == g.evaluate(s.points[j].coords)
+                [jets] = js.poly_jets([f])
+                assert jets == jets_by_partials(f, s, js.index)
                 for beta in degree_slice(n, d):
                     col = js.monomial_column(beta)
                     shifts = [js.shift_by_variable(col, i) for i in range(n + 1)]
@@ -224,6 +219,87 @@ def test_jet_evaluator_against_independent_routes():
                         assert all(type(v) is int for v in entries)
                 if integral:
                     assert all(type(v) is int for v in jets)
+
+
+def test_batched_poly_jets_against_partials():
+    """One `poly_jets` call on a batch of sparse polynomials and the zero
+    polynomial equals the partials of each, evaluated at the points, and
+    leaves no memo on the jet system."""
+    rng = random.Random(27182)
+    for _ in range(6):
+        base = random_scheme(rng, max_s=3)
+        for s in (base, off_integers(base)):
+            js = jet_system(s)
+            n = s.n
+            for d in range(4):
+                monos = degree_slice(n, d)
+                batch = [HomogPoly.zero(n + 1, d)]
+                for _ in range(4):
+                    picked = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+                    batch.append(HomogPoly(
+                        n + 1, d, {beta: rng.choice([-3, -1, 1, 2, 5]) for beta in picked}
+                    ))
+                before = dict(vars(js))
+                jets = js.poly_jets(batch)
+                assert vars(js) == before
+                assert len(jets) == len(batch)
+                assert jets[0] == [0] * js.dim
+                for f, vec in zip(batch, jets):
+                    assert vec == jets_by_partials(f, s, js.index)
+
+
+def test_ideal_slice_is_the_standard_form_basis():
+    """`ideal_slice` is the standard-form kernel basis of the jet matrix,
+    read off the rational rref, on integral and non-integral schemes."""
+    rng = random.Random(16180)
+    for _ in range(6):
+        base = random_scheme(rng, max_n=2, max_s=3)
+        for s in (base, off_integers(base)):
+            js = jet_system(s)
+            for d in range(initial_degree(s), regularity_index(s) + 2):
+                monos = degree_slice(s.n, d)
+                rows = [[js.value(j, gamma, beta) for beta in monos]
+                        for j, gamma in js.index]
+                reduced, pivots = rref(rows)
+                free_cols = [c for c in range(len(monos)) if c not in pivots]
+                basis = ideal_slice(s, d)
+                assert len(basis) == len(free_cols)
+                for p, free in zip(basis, free_cols):
+                    coeffs = p.coeff_vector()
+                    assert all(coeffs[f] == (f == free) for f in free_cols)
+                    for row, piv in zip(reduced, pivots):
+                        assert coeffs[piv] == -row[free]
+
+
+def test_scheme_hash_is_cached_and_consistent():
+    """Equal schemes built from scaled, int, Fraction and string
+    coordinates compare and hash equal and share cached tables; the
+    dataclass fields, repr and equality are unchanged."""
+    import dataclasses
+
+    variants = [
+        FatPointScheme(2, [ProjPoint((1, 2, 0)), ProjPoint((1, 0, 3))], [2, 1]),
+        FatPointScheme(2, [ProjPoint((2, 4, 0)), ProjPoint((-3, 0, -9))], (2, 1)),
+        FatPointScheme(
+            2,
+            [ProjPoint((Fraction(1, 2), Fraction(1), Fraction(0))),
+             ProjPoint((Fraction(1), Fraction(0), Fraction(3)))],
+            [2, 1],
+        ),
+        FatPointScheme(2, [ProjPoint(("4/2", "4", "0")), ProjPoint(("1", "0", "6/2"))], [2, 1]),
+    ]
+    first = variants[0]
+    for s in variants:
+        assert s == first
+        assert hash(s) == hash(first) == hash((s.n, s.points, s.mults))
+        assert hf_table(s) is hf_table(first)
+        assert repr(s) == (
+            f"FatPointScheme(n={s.n!r}, points={s.points!r}, mults={s.mults!r})"
+        )
+    assert [f.name for f in dataclasses.fields(first)] == ["n", "points", "mults"]
+    other = first.with_mults([1, 1])
+    assert other != first
+    assert first != (first.n, first.points, first.mults)
 
 
 def test_inclusion_reversal(rng):
@@ -240,8 +316,8 @@ def test_slice_members_have_vanishing_jets(rng):
         for s in (base, off_integers(base)):
             js = jet_system(s)
             d = initial_degree(s) + 1
-            for p in ideal_slice(s, d):
-                assert all(v == 0 for v in js.poly_jets(p))
+            for jets in js.poly_jets(ideal_slice(s, d)):
+                assert all(v == 0 for v in jets)
 
 
 def test_conic_regularity_matches_formula(conic8_points):
