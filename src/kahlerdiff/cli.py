@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from .formulas import (
     conjecture_probe,
@@ -57,47 +58,56 @@ def _table_jobs(scheme: FatPointScheme, ms: list[int], relative: bool):
     return jobs
 
 
-def _compute_table(scheme: FatPointScheme, job, max_degree):
+@dataclass(frozen=True)
+class _Table:
+    """One table of `hf` output.  stable_from and hp are None for a
+    `--max-degree` prefix; cert_degree is None there and for HF_W."""
+
+    name: str
+    values: tuple[int, ...]
+    stable_from: int | None = None
+    hp: int | None = None
+    cert_degree: int | None = None
+
+
+def _compute_table(scheme: FatPointScheme, job, max_degree) -> _Table:
     kind, m, relative = job
     name = "HF_W" if kind == "scheme" else f"Omega^{m}" + ("_rel" if relative else "")
     if kind == "scheme":
         table = hf_table(scheme)
         if max_degree is not None:
-            return name, table.prefix(max_degree + 1), None, None
-        return name, list(table.values), table.stable_from, table.hp
+            return _Table(name, tuple(table.prefix(max_degree + 1)))
+        return _Table(name, table.values, table.stable_from, table.hp)
     if max_degree is not None:
-        return name, omega_hf_prefix(scheme, m, max_degree, relative), None, None
+        return _Table(name, tuple(omega_hf_prefix(scheme, m, max_degree, relative)))
     o = omega_hf(scheme, m, relative)
-    return name, list(o.table.values), o.table.stable_from, o.table.hp, o.cert_degree
+    return _Table(name, o.table.values, o.table.stable_from, o.table.hp, o.cert_degree)
 
 
-def _emit_tables(entries, fmt: str) -> str:
+def _emit_tables(entries: list[_Table], fmt: str) -> str:
     lines = []
     if fmt == "text":
-        for entry in entries:
-            name, values = entry[0], entry[1]
-            stable, hp = entry[2], entry[3]
-            row = f"{name:<12}: " + " ".join(str(v) for v in values)
-            if stable is not None:
-                cert = f", certified at degree {entry[4]}" if len(entry) > 4 else ""
-                row += f"   (stable from {stable}, HP {hp}{cert})"
+        for t in entries:
+            row = f"{t.name:<12}: " + " ".join(str(v) for v in t.values)
+            if t.stable_from is not None:
+                cert = "" if t.cert_degree is None else f", certified at degree {t.cert_degree}"
+                row += f"   (stable from {t.stable_from}, HP {t.hp}{cert})"
             lines.append(row)
     elif fmt == "csv":
-        for entry in entries:
-            name, values = entry[0], entry[1]
-            lines.append(f"# table={name}")
+        for t in entries:
+            lines.append(f"# table={t.name}")
             lines.append("degree,value")
-            for d, v in enumerate(values):
+            for d, v in enumerate(t.values):
                 lines.append(f"{d},{v}")
     elif fmt == "json":
         blobs = []
-        for entry in entries:
-            blob = {"table": entry[0], "values": entry[1]}
-            if entry[2] is not None:
-                blob["stable_from"] = entry[2]
-                blob["hp"] = entry[3]
-                if len(entry) > 4:
-                    blob["certificate"] = {"degree": entry[4], "value": entry[3]}
+        for t in entries:
+            blob = {"table": t.name, "values": list(t.values)}
+            if t.stable_from is not None:
+                blob["stable_from"] = t.stable_from
+                blob["hp"] = t.hp
+                if t.cert_degree is not None:
+                    blob["certificate"] = {"degree": t.cert_degree, "value": t.hp}
             blobs.append(blob)
         return json.dumps({"tables": blobs}, indent=2)
     else:

@@ -4,10 +4,11 @@ Every dimension count in this package comes down to a row space over Q.
 Scalars are `fractions.Fraction` (exposed as `Rational`); rows are scaled
 to integers by clearing denominators row-wise.  `Echelon` is the one
 kernel: an incremental, fraction-free reduced echelon form that the Hilbert
-tables grow degree by degree, that `kernel_standard` reads primitive
-integer kernel bases off, with no `Fraction` built, and whose pivot columns
-pick the minimal generators.  Bareiss elimination (`rank_int`,
-`bareiss_pivots`) ranks a whole integer matrix in one pass; it serves the
+tables and the ideal-jet sweep grow degree by degree, that
+`kernel_standard` reads primitive integer kernel bases off, with no
+`Fraction` built, and whose pivot columns pick the minimal generators.
+Bareiss elimination (`rank_int`, `bareiss_pivots`) ranks a whole integer
+matrix in one pass; it serves the
 one-shot checks (a single-degree `submodule_slice`, general position) and
 is the oracle the tests hold the sweeps against.
 `rref` and `ExactMatrix.rank_naive` are rational-arithmetic oracles for the
@@ -214,15 +215,22 @@ class Echelon:
     positive entry at its own pivot and zeros at the pivots of the others.
     support[k] lists the nonzero columns of rows[k], the only ones visited
     when that row is used.
+
+    Pivots are taken among the first `pivot_cols` columns (by default all
+    of them); the other columns are carried along.  A vector whose
+    residual vanishes on the pivot columns is not inserted: its residual
+    on the carried columns is appended to `carried` instead.
     """
 
-    __slots__ = ("ncols", "rows", "pivots", "support")
+    __slots__ = ("ncols", "pivot_cols", "rows", "pivots", "support", "carried")
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, pivot_cols: int | None = None):
         self.ncols = ncols
+        self.pivot_cols = ncols if pivot_cols is None else pivot_cols
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.support: list[list[int]] = []
+        self.carried: list[list[int]] = []
 
     @property
     def rank(self) -> int:
@@ -249,6 +257,9 @@ class Echelon:
         supp = [j for j in range(self.ncols) if v[j]]
         if not supp:
             return False
+        if supp[0] >= self.pivot_cols:
+            self.carried.append(v[self.pivot_cols :])
+            return False
         _make_primitive(v, supp)
         lead = supp[0]
         c = v[lead]
@@ -269,6 +280,13 @@ class Echelon:
         self.pivots.insert(at, lead)
         self.support.insert(at, supp)
         return True
+
+    def insert_all(self, vecs: Iterable[Sequence[int]]) -> None:
+        """Insert integer vectors, smallest total bit length first: the order
+        fixes the cost of the elimination, not the span, and small rows
+        first keep the entries of the echelon small."""
+        for vec in sorted(vecs, key=lambda v: sum(map(int.bit_length, map(abs, v)))):
+            self.insert(vec)
 
 
 def _make_primitive(row: list[int], supp: Sequence[int]) -> None:

@@ -1,26 +1,28 @@
 """Modules of differential m-forms of the coordinate ring of a fat point
 scheme, via the presentation
 
-    Omega^m  ~=  Omega^m_S / (I_W * Omega^m_S  +  dI_W * Omega^{m-1}_S)
+    Omega^m  ~=  Omega^m_S / (I_W * Omega^m_S  +  dI_W ^ Omega^{m-1}_S)
 
 where Omega^m_S is free on the wedge monomials dX_{i_1} ^ ... ^ dX_{i_m}.
-In each total degree the submodule slice is a linear-algebra object: rows
-come from ideal-slice multiples of the wedge basis and from monomial
-multiples of dG ^ dX_J over a generating set {G} of the ideal.
-
-The ideal-multiple rows fill a full block of known dimension, so the rank
+The ideal-multiple part fills a full block of known dimension, so the rank
 is computed in quotient coordinates: each coefficient polynomial is
-replaced by its jet vector, whose kernel is exactly the ideal slice.  Jets
-come from the one exact evaluator `schemes.JetSystem`: ints when every
-point has integral coordinates, Fractions otherwise.  The generators are
-primitive integer polynomials, and the jets of their partial derivatives
-are read off the jets of the generators on the fattened scheme, evaluated
-in one `poly_jets` call per generator degree.  The Hilbert tables grow
-that image degree by degree on `schemes.span_sweep`, the one sweep (on the
-one `Echelon`) that also gives the Hilbert function of the scheme;
-`submodule_slice` ranks a single degree from scratch by Bareiss
-elimination, and it and its literal dense-matrix path are the oracles the
-tests hold the sweep against.
+replaced by its jet vector on the scheme, whose kernel is exactly the
+ideal.  Modulo I_W * Omega^m_S, A dF = d(AF) - F dA is d(AF), so in degree
+d the differential part is {dF ^ dX_J : F in (I_W)_{d-m+1}}, and the first
+partials of an ideal element F are fixed by its top-order jets, those of
+order m_j at P_j.
+
+One ideal-jet sweep per scheme (`_GeneratorJets`) grows J_delta, the span
+of the top-order jets of (I_W)_delta, degree by degree; linear maps Phi_i
+read the jets of dF/dX_i off them, on the top layer of the scheme, where
+those jets live.  Every table (`omega_hf`, `omega_hf_prefix`, the relative
+variant and `top_form_hf`) inserts the images of the rows new in J at
+degree d - m + 1 into one `Echelon` and shifts nothing.  Jets come from
+the one exact evaluator `schemes.JetSystem`: ints when every point has
+integral coordinates, Fractions otherwise.  `submodule_slice` ranks a
+single degree from scratch by Bareiss elimination, with rows built from the
+polynomial minimal generators and the Leibniz rule, and it and its literal
+dense-matrix path are the oracles the tests hold the sweep against.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -31,17 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
-from math import comb
-from typing import Iterator, Sequence
+from itertools import combinations, count, islice
+from math import comb, lcm
+from typing import Callable, Iterator, Sequence
 
-from .exactla import integer_rows, rank_int
-from .polyring import Exponents, HomogPoly, degree_slice
+from .exactla import Echelon, integer_rows, rank_int
+from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
 from .schemes import (
     FatPointScheme,
     HFTable,
+    JetSystem,
     StabilizationError,
-    hf_table,
+    _bump,
     hilbert_function,
     ideal_slice,
     initial_degree,
@@ -161,49 +164,97 @@ def wedge_with_differential(
     return ExteriorForm(basis, coeffs)
 
 
-# --- generator pool with precomputed jets ---------------------------------
+# --- the ideal-jet sweep --------------------------------------------------
 
 class _GeneratorJets:
-    """Partial derivatives of the ideal generators with their jet vectors.
+    """Top-order jets of the vanishing ideal, degree by degree.
 
-    pjets[(g, i)][k] is the jet value of dG_g/dX_i at the k-th jet
-    functional of the scheme.  For the affine variables these are
-    higher-order jets of G itself, so one jet evaluation against the
-    fattened scheme covers them all; the X_0 derivative follows from the
-    product rule applied to X_0 * dG/dX_0 = deg(G) G - sum X_i dG/dX_i,
-    whose G term has vanishing jets.
+    H is the top-order block of the fattened scheme W+1: the functionals
+    (j, gamma) with |gamma| = m_j.  J_delta, the span of the H-jets of the
+    forms in (I_W)_delta, is the whole ideal data the form tables need: for
+    F in I_W the first partials vanish to order m_j - 1 at P_j, and their
+    jets on the top layer L of W, the functionals with |gamma| = m_j - 1,
+    are read off F's H-jets by Phi_1..Phi_n (dF/dX_i at (j, gamma) is F at
+    (j, gamma + e_i)), and Phi_0 = -sum_i p_i Phi_i by the Euler relation.
+
+    One `span_sweep` on W+1, with W's functionals first, grows the jets of
+    S_delta in an echelon that pivots only on W's columns; a shifted row
+    with no W-residual is the jet of an ideal element, and its H-residual
+    lies in J_delta.  X_i acts on the H-jets of ideal elements as the
+    diagonal multiplication by the i-th affine coordinate of the point (the
+    other term of the product rule lands in W, where they vanish), so a
+    second echelon over H grows J_delta from p_i * (its rows new at
+    delta - 1) and those residuals.  new[delta] keeps the reduced rows whose
+    pivots first appeared at delta; they span a complement of J_{delta-1}
+    in J_delta.  The sweep ends at the first degree where neither echelon
+    grows, past which nothing can (this is Buchberger-Moeller in jet form).
+    H (`top`) and L (`layer`) run point by point in the order of the jet
+    system, heaviest point first, which fixes the reduced rows kept.
     """
 
     def __init__(self, scheme: FatPointScheme):
-        self.js = jet_system(scheme)
-        js_fat = jet_system(scheme.fattening())
-        self.pos = self.js.pos
-        self.gens: list[HomogPoly] = []
-        fats: list[list[Fraction | int]] = []
-        for _, batch in sorted(minimal_generators(scheme).items()):
-            self.gens.extend(batch)
-            fats.extend(js_fat.poly_jets(batch))
-        self.pjets: dict[tuple[int, int], list[Fraction | int]] = {}
         n = scheme.n
-        for gi, fat in enumerate(fats):
-            for i in range(1, n + 1):
-                self.pjets[(gi, i)] = [
-                    fat[js_fat.pos[(j, _bump(gamma, i - 1))]]
-                    for (j, gamma) in self.js.index
-                ]
-            x0_part = [0] * self.js.dim
-            for i in range(1, n + 1):
-                shifted = self.js.shift_by_variable(self.pjets[(gi, i)], i)
-                x0_part = [a - b for a, b in zip(x0_part, shifted)]
-            self.pjets[(gi, 0)] = x0_part
+        self.js = js = jet_system(scheme)
+        top = [
+            (j, gamma)
+            for j in js.order
+            for gamma in sorted(monomials_of_degree(n, scheme.mults[j]))
+        ]
+        fat = JetSystem(scheme.fattening(), js.index + top)
+        hpos = {key: k for k, key in enumerate(top)}
+        self.top = top
+        self.layer = layer = [(j, g) for j, g in js.index if sum(g) == scheme.mults[j] - 1]
+        self.width = len(layer)
+        self.bumped = [[hpos[(j, _bump(g, t))] for j, g in layer] for t in range(n)]
+        self.scale = lcm(*js.denominators)
+        self.layer_coords = [[int(self.scale * js.coords[j][t]) for j, _ in layer] for t in range(n)]
+        # X_i on the top-order jets of ideal elements, scaled like the shifts
+        top_coords = [
+            [int(den * js.coords[j][t]) for j, _ in top]
+            for t, den in enumerate(js.denominators)
+        ]
+        ech = Echelon(fat.dim, pivot_cols=js.dim)
+        jech = Echelon(len(top))
+        self.new: list[list[list[int]]] = []
+        fresh: list[list[int]] = []
+        seen: set[int] = set()
+        last = 0
+        for rank in span_sweep(fat, ech):
+            jech.insert_all(
+                [[a * x for a, x in zip(coords, row)] for row in fresh for coords in top_coords]
+                + ech.carried
+            )
+            ech.carried.clear()
+            fresh = [list(row) for row, p in zip(jech.rows, jech.pivots) if p not in seen]
+            seen = set(jech.pivots)
+            self.new.append(fresh)
+            if rank == last and not fresh:
+                break
+            last = rank
 
-    def product_jets(self, alpha: Exponents, gi: int, i: int) -> list[Fraction | int]:
-        """Jet vector of X^alpha * dG_gi/dX_i by the Leibniz rule, which
-        keeps this per-degree route independent of the shifts of the sweep."""
-        hjets = self.pjets[(gi, i)]
+    def new_rows(self, delta: int) -> list[list[int]]:
+        return self.new[delta] if 0 <= delta < len(self.new) else []
+
+    def partials(self, h: Sequence[int]) -> list[list[int]]:
+        """scale * (Phi_0(h), ..., Phi_n(h)): the jets on the top layer of W
+        of dF/dX_0, ..., dF/dX_n for an ideal element F with H-jets h, times
+        the common denominator of the coordinates, so that they are integer
+        vectors; a common factor changes no span."""
+        parts = [[h[k] for k in bumped] for bumped in self.bumped]
+        x0_part = [0] * self.width
+        for coords, part in zip(self.layer_coords, parts):
+            x0_part = [s - a * x for s, a, x in zip(x0_part, coords, part)]
+        if self.scale != 1:
+            parts = [[self.scale * x for x in part] for part in parts]
+        return [x0_part, *parts]
+
+    def product_jets(self, alpha: Exponents, hjets: Sequence[Fraction | int]) -> list[Fraction | int]:
+        """Jet vector on the scheme of X^alpha * H from the jet vector of H,
+        by the Leibniz rule, which keeps the per-degree oracle route of
+        `submodule_slice` independent of the shifts of the sweeps."""
         out = []
         cache: dict[tuple[int, Exponents], Fraction | int] = {}
-        for k, (j, gamma) in enumerate(self.js.index):
+        for j, gamma in self.js.index:
             total = 0
             for gp in _sub_multiindices(gamma, alpha[1:]):
                 key = (j, gp)
@@ -212,7 +263,7 @@ class _GeneratorJets:
                     mono_val = cache[key] = self.js.value(j, gp, alpha)
                 if mono_val:
                     rest = tuple(a - b for a, b in zip(gamma, gp))
-                    hval = hjets[self.pos[(j, rest)]]
+                    hval = hjets[self.js.pos[(j, rest)]]
                     if hval:
                         binom = 1
                         for a, b in zip(gamma, gp):
@@ -220,10 +271,6 @@ class _GeneratorJets:
                         total += binom * mono_val * hval
             out.append(total)
         return out
-
-
-def _bump(gamma: Exponents, t: int) -> Exponents:
-    return gamma[:t] + (gamma[t] + 1,) + gamma[t + 1 :]
 
 
 def _sub_multiindices(gamma: Exponents, bound: Exponents):
@@ -240,6 +287,32 @@ def _generator_jets(scheme: FatPointScheme) -> _GeneratorJets:
     return _GeneratorJets(scheme)
 
 
+def _polynomial_partial_jets(
+    scheme: FatPointScheme,
+) -> list[tuple[int, list[list[Fraction | int]]]]:
+    """(deg G, [jets of dG/dX_0, ..., dG/dX_n]) for each minimal generator
+    G: the polynomial route of the per-degree oracle, which shares no ideal
+    data with the sweep.  The jets of the affine partials are higher-order
+    jets of G on the fattened scheme, from one `poly_jets` call per
+    generator degree; the X_0 partial follows from the Euler relation
+    X_0 dG/dX_0 = deg(G) G - sum_i X_i dG/dX_i, whose G term has vanishing
+    jets.  Built on demand and never cached."""
+    js = jet_system(scheme)
+    js_fat = jet_system(scheme.fattening())
+    out = []
+    for delta, batch in sorted(minimal_generators(scheme).items()):
+        for fat in js_fat.poly_jets(batch):
+            parts = [
+                [fat[js_fat.pos[(j, _bump(gamma, i))]] for j, gamma in js.index]
+                for i in range(scheme.n)
+            ]
+            x0_part = [0] * js.dim
+            for i, part in enumerate(parts, start=1):
+                x0_part = [a - b for a, b in zip(x0_part, js.shift_by_variable(part, i))]
+            out.append((delta, [x0_part, *parts]))
+    return out
+
+
 # --- submodule slices ------------------------------------------------------
 
 def _check_form_degree(scheme: FatPointScheme, m: int, relative: bool) -> None:
@@ -253,7 +326,7 @@ def _differential_rows(
     scheme: FatPointScheme, m: int, d: int, relative: bool
 ) -> list[list[Fraction]]:
     """Quotient-coordinate rows spanning the image of dI * Omega^{m-1} in
-    (S/I)^{C(*, m)} at total degree d."""
+    (S/I)^{C(*, m)} at total degree d, from the polynomial generators."""
     n = scheme.n
     gj = _generator_jets(scheme)
     D = gj.js.dim
@@ -261,8 +334,8 @@ def _differential_rows(
     tpos = {T: k for k, T in enumerate(basis.subsets)}
     indices = basis.indices
     rows: list[list[Fraction]] = []
-    for gi, g in enumerate(gj.gens):
-        delta = d - m - g.degree + 1
+    for degree, pjets in _polynomial_partial_jets(scheme):
+        delta = d - m - degree + 1
         if delta < 0:
             continue
         for J in combinations(indices, m - 1):
@@ -272,7 +345,7 @@ def _differential_rows(
                 for i in indices:
                     if i in J:
                         continue
-                    jets = gj.product_jets(alpha, gi, i)
+                    jets = gj.product_jets(alpha, pjets[i])
                     if not any(jets):
                         continue
                     nonzero = True
@@ -388,46 +461,24 @@ class OmegaHF:
         return self.table.hp
 
 
-def _lead_rank(scheme: FatPointScheme, m: int, relative: bool) -> int:
-    return comb(scheme.n, m) if relative else comb(scheme.n + 1, m)
-
-
-def _wedge_entering(
-    scheme: FatPointScheme, m: int, relative: bool
-) -> dict[int, list[list[Fraction | int]]]:
-    """Jet rows of dG ^ dX_J over the generators G, keyed by the total
-    degree m + deg(G) - 1 at which each enters the image of dI * Omega^{m-1}."""
-    gj = _generator_jets(scheme)
-    D = gj.js.dim
-    basis = WedgeBasis(scheme.n, m, relative)
-    tpos = {T: k for k, T in enumerate(basis.subsets)}
-    entering: dict[int, list[list[Fraction | int]]] = {}
-    for gi, g in enumerate(gj.gens):
-        rows = entering.setdefault(m + g.degree - 1, [])
-        for J in combinations(basis.indices, m - 1):
-            row: list[Fraction | int] = [0] * (basis.size * D)
-            for i in basis.indices:
-                jets = gj.pjets[(gi, i)]
-                if i in J or not any(jets):
-                    continue
-                base = tpos[tuple(sorted(J + (i,)))] * D
-                sign = _insertion_sign(i, J)
-                row[base : base + D] = jets if sign > 0 else [-v for v in jets]
-            if any(row):
-                rows.append(row)
-    return entering
-
-
-def _sweep(
+def _form_values(
     scheme: FatPointScheme,
     m: int,
     blocks: int,
-    entering: dict[int, list[list[Fraction | int]]],
+    rows_of: Callable[[list[list[int]]], list[list[int]]],
 ) -> Iterator[int]:
-    """Yield blocks * HF_W(d - m) - dim R_d for d = 0, 1, 2, ..., where R_d
-    is the span that `span_sweep` grows from the entering rows."""
-    spans = span_sweep(jet_system(scheme), blocks, entering)
-    return (blocks * hilbert_function(scheme, d - m) - rank for d, rank in enumerate(spans))
+    """Yield blocks * HF_W(d - m) - dim R_d for d = 0, 1, 2, ...
+
+    R_d is the image of dI * Omega^{m-1} in degree d, in `blocks` copies of
+    the top-layer jet coordinates.  Modulo I * Omega^m, A dF = d(AF) - F dA
+    is d(AF), so R_d is spanned by the rows `rows_of(partials(h))` over h in
+    J_{d-m+1}; its growth at d is spanned by the rows of the ideal-jet rows
+    new at d - m + 1, and nothing is shifted."""
+    gj = _generator_jets(scheme)
+    ech = Echelon(blocks * gj.width)
+    for d in count():
+        ech.insert_all(row for h in gj.new_rows(d - m + 1) for row in rows_of(gj.partials(h)))
+        yield blocks * hilbert_function(scheme, d - m) - ech.rank
 
 
 def _certified(
@@ -458,9 +509,30 @@ def _certified(
 
 
 def _omega_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int]:
+    """The wedge presentation: the rows dF ^ dX_J over the (m-1)-subsets J,
+    with dF = sum_i Phi_i(h) dX_i."""
     _check_form_degree(scheme, m, relative)
-    t = _lead_rank(scheme, m, relative)
-    return _sweep(scheme, m, t, _wedge_entering(scheme, m, relative))
+    basis = WedgeBasis(scheme.n, m, relative)
+    tpos = {T: k for k, T in enumerate(basis.subsets)}
+    terms = [
+        [(i, tpos[tuple(sorted(J + (i,)))], _insertion_sign(i, J))
+         for i in basis.indices if i not in J]
+        for J in combinations(basis.indices, m - 1)
+    ]
+    w = _generator_jets(scheme).width
+
+    def rows_of(parts: list[list[int]]) -> list[list[int]]:
+        rows = []
+        for wedge in terms:
+            row = [0] * (basis.size * w)
+            for i, k, sign in wedge:
+                if any(parts[i]):
+                    row[k * w : (k + 1) * w] = parts[i] if sign > 0 else [-v for v in parts[i]]
+            if any(row):
+                rows.append(row)
+        return rows
+
+    return _form_values(scheme, m, basis.size, rows_of)
 
 
 @lru_cache(maxsize=None)
@@ -479,19 +551,18 @@ def omega_hf_prefix(
 @lru_cache(maxsize=None)
 def top_form_hf(scheme: FatPointScheme) -> OmegaHF:
     """Hilbert table of the top form module via the Jacobian-ideal quotient,
-    an independent presentation from the wedge one:
-    HF_{Omega^{n+1}}(i) = HF_{S/<all partials>}(i - n - 1).
+    HF_{Omega^{n+1}}(i) = HF_{S/(I + <all partials of I>)}(i - n - 1).
 
-    One block of jet coordinates, entered by the partials of each generator
-    G at degree deg(G) + n, swept like the wedge presentation.
+    One block of top-layer jet coordinates: modulo I, A dF/dX_i is
+    d(AF)/dX_i, so the partials of J_delta, Phi_0(h), ..., Phi_n(h), enter
+    at degree delta + n and span the Jacobian part with no shifting.
     """
     n = scheme.n
-    gj = _generator_jets(scheme)
-    entering: dict[int, list[list[Fraction]]] = {}
-    for gi, g in enumerate(gj.gens):
-        rows = entering.setdefault(g.degree + n, [])
-        rows.extend(gj.pjets[(gi, i)] for i in range(n + 1))
-    return _certified(scheme, n + 1, False, _sweep(scheme, n + 1, 1, entering))
+    return _certified(scheme, n + 1, False, _form_values(scheme, n + 1, 1, _nonzero))
+
+
+def _nonzero(parts: list[list[int]]) -> list[list[int]]:
+    return [part for part in parts if any(part)]
 
 
 def koszul_check(scheme: FatPointScheme, d: int) -> bool:

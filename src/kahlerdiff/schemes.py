@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import comb, perm
+from math import comb, lcm, perm
 from typing import Iterable, Iterator, Sequence
 
 from .exactla import Echelon, integer_rows, kernel_standard, rank_int
@@ -202,6 +202,10 @@ def _jet_orders(n: int, max_order: int) -> list[Exponents]:
     return out
 
 
+def _bump(gamma: Exponents, t: int, by: int = 1) -> Exponents:
+    return gamma[:t] + (gamma[t] + by,) + gamma[t + 1 :]
+
+
 class JetSystem:
     """The jet functionals of a scheme, evaluated exactly.
 
@@ -212,21 +216,45 @@ class JetSystem:
     Fractions otherwise, so on an integral scheme the jets of an integer
     polynomial are ints.  `span_sweep` grows spans of jet vectors degree
     by degree with `shift_by_variable`.
+
+    `index` orders the functionals.  By default they run point by point,
+    heaviest point first (`order`), and by order within a point: echelons
+    over these columns keep far smaller entries than in the order of the
+    points (the Hilbert function of the shipped twisted cubic takes a
+    quarter of the time).
     """
 
-    def __init__(self, scheme: FatPointScheme):
+    def __init__(
+        self, scheme: FatPointScheme, index: Sequence[tuple[int, Exponents]] = ()
+    ):
         self.scheme = scheme
         self.coords: list[tuple[Fraction | int, ...]] = [
             tuple(int(c) if c.denominator == 1 else c for c in p.affine())
             for p in scheme.points
         ]
-        self.index: list[tuple[int, Exponents]] = []
-        for j, m in enumerate(scheme.mults):
-            for gamma in _jet_orders(scheme.n, m - 1):
-                self.index.append((j, gamma))
+        self.order = sorted(range(scheme.s), key=lambda j: -scheme.mults[j])
+        self.index: list[tuple[int, Exponents]] = list(index) or [
+            (j, gamma)
+            for j in self.order
+            for gamma in _jet_orders(scheme.n, scheme.mults[j] - 1)
+        ]
         self.dim = len(self.index)
         self.pos = {key: k for k, key in enumerate(self.index)}
         assert self.dim == scheme.degree()
+        # X_i as a sparse map on jet vectors, scaled by the common denominator
+        # of the i-th coordinates: (den * p_i, den * gamma_i, position of
+        # gamma - e_i) for each functional
+        self.denominators = [
+            lcm(*(a[t].denominator for a in self.coords)) for t in range(scheme.n)
+        ]
+        self._steps = [
+            [
+                (int(den * self.coords[j][t]), den * gamma[t],
+                 self.pos[(j, _bump(gamma, t, -1))] if gamma[t] else k)
+                for k, (j, gamma) in enumerate(self.index)
+            ]
+            for t, den in enumerate(self.denominators)
+        ]
 
     def value(self, j: int, gamma: Exponents, beta: Exponents) -> Fraction | int:
         """The gamma-partial of the monomial X^beta at P_j."""
@@ -265,24 +293,24 @@ class JetSystem:
         return out
 
     def shift_by_variable(
-        self, vec: Sequence[Fraction | int], i: int
+        self, vec: Sequence[Fraction | int], i: int, scaled: bool = False
     ) -> list[Fraction | int]:
         """Jet vector of X_i * H from the jet vector of H (a sparse linear map).
 
         For the affine variables, d^gamma(X_i H) = p_i d^gamma H +
         gamma_i d^(gamma - e_i) H at the point; X_0 acts as the identity.
+        With `scaled` the result is multiplied by `denominators[i - 1]`, the
+        common denominator of the i-th coordinates of the points, so that an
+        integer vector stays integral; the sweeps, which need only spans,
+        shift that way.
         """
         if i == 0:
             return list(vec)
-        out = []
-        for k, (j, gamma) in enumerate(self.index):
-            val = self.coords[j][i - 1] * vec[k]
-            g = gamma[i - 1]
-            if g:
-                lower = gamma[: i - 1] + (g - 1,) + gamma[i:]
-                val += g * vec[self.pos[(j, lower)]]
-            out.append(val)
-        return out
+        out = [a * vec[k] + g * vec[low] for k, (a, g, low) in enumerate(self._steps[i - 1])]
+        den = self.denominators[i - 1]
+        if scaled or den == 1:
+            return out
+        return [Fraction(x, den) for x in out]
 
 
 @lru_cache(maxsize=None)
@@ -290,35 +318,31 @@ def jet_system(scheme: FatPointScheme) -> JetSystem:
     return JetSystem(scheme)
 
 
-def span_sweep(
-    js: JetSystem, blocks: int, entering: dict[int, list[list[Fraction | int]]]
-) -> Iterator[int]:
-    """Yield dim R_d for d = 0, 1, 2, ...
+def span_sweep(js: JetSystem, ech: Echelon | None = None) -> Iterator[int]:
+    """Yield dim V_d for d = 0, 1, 2, ..., where V_d is the span of the jets
+    of all forms of degree d, grown in `ech` (a new `Echelon` by default)
+    from the jet of 1.
 
-    R_d is the span, in `blocks` copies of the jet coordinates of the
-    scheme, of the rows entering at degrees <= d and all their monomial
-    multiples.  X_0 acts as the identity on jets, so R_d = R_{d-1} +
-    sum_i X_i R_{d-1} + (rows entering at d), and since X_i R_{d-2} lies in
-    R_{d-1} only the rows new at degree d-1 need shifting: the echelon rows
-    whose pivots first appeared there, copied when that degree ended.  They
-    span a complement of R_{d-2} in R_{d-1}, because a vector of R_{d-2}
-    that vanishes at all of its pivots is zero.
+    X_0 acts as the identity on jets, so V_d = V_{d-1} + sum_i X_i V_{d-1},
+    and since X_i V_{d-2} lies in V_{d-1} only the rows new at degree d-1
+    need shifting: the echelon rows whose pivots first appeared there,
+    copied when that degree ended.  They span a complement of V_{d-2} in
+    V_{d-1}, because a vector of V_{d-2} that vanishes at all of its pivots
+    is zero.  The shifts are scaled to stay integral and go in smallest
+    first.  `hf_table` runs it on the scheme; the ideal-jet sweep of
+    `kaehler` runs it on the fattened scheme, in an echelon that pivots
+    only on the functionals of the scheme and carries the others.
     """
-    D = js.dim
-    zero = [0] * D
-    ech = Echelon(blocks * D)
+    ech = Echelon(js.dim) if ech is None else ech
+    ech.insert(js.monomial_column((0,) * (js.scheme.n + 1)))
     fresh: list[list[int]] = []
     seen: set[int] = set()
     for d in count():
-        for row in fresh:
-            parts = [row[k * D : (k + 1) * D] for k in range(blocks)]
-            for i in range(1, js.scheme.n + 1):
-                shifted: list[Fraction | int] = []
-                for part in parts:
-                    shifted.extend(js.shift_by_variable(part, i) if any(part) else zero)
-                ech.insert(shifted)
-        for row in entering.get(d, ()):
-            ech.insert(row)
+        ech.insert_all(
+            js.shift_by_variable(row, i, scaled=True)
+            for row in fresh
+            for i in range(1, js.scheme.n + 1)
+        )
         yield ech.rank
         fresh = [list(row) for row, p in zip(ech.rows, ech.pivots) if p not in seen]
         seen = set(ech.pivots)
@@ -340,10 +364,9 @@ def hf_table(scheme: FatPointScheme) -> HFTable:
     coordinates, which is exactly the regularity index.
     """
     js = jet_system(scheme)
-    entering = {0: [js.monomial_column((0,) * (scheme.n + 1))]}
     cap = _scan_cap(scheme)
     values = []
-    for d, rank in enumerate(span_sweep(js, 1, entering)):
+    for d, rank in enumerate(span_sweep(js)):
         values.append(rank)
         if rank == js.dim:
             return HFTable(tuple(values), d, js.dim)

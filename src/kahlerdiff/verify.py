@@ -318,6 +318,16 @@ def _check_hyperplane(out: list[CheckResult]) -> None:
     )
     out.append(CheckResult.compare("hyperplane7_p5: ri", exp["ri"], table.stable_from))
     out.append(CheckResult.compare("hyperplane7_p5: HP", exp["hp"], table.hp))
+    engine = omega_hf(scheme, scheme.n + 1).table
+    out.append(
+        CheckResult.compare(
+            "hyperplane7_p5: top-form table (engine)",
+            exp["values"],
+            engine.prefix(len(exp["values"])),
+        )
+    )
+    out.append(CheckResult.compare("hyperplane7_p5: ri (engine)", exp["ri"], engine.stable_from))
+    out.append(CheckResult.compare("hyperplane7_p5: HP (engine)", exp["hp"], engine.hp))
 
 
 def _check_twisted_cubic(out: list[CheckResult]) -> None:

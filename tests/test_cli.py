@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 RUN = [sys.executable, "-m", "kahlerdiff"]
+PINNED_HF = Path(__file__).resolve().parent / "data" / "hf_stdout_line_mults_123_p1.json"
 
 
 def run_cli(*args):
@@ -214,10 +216,25 @@ def test_form_scan_cap_exit_code(tmp_path, monkeypatch, capsys, fmt):
     from kahlerdiff import cli, kaehler
 
     path = _shipped(tmp_path, "nine_points_p2.json")
-    monkeypatch.setattr(kaehler, "_sweep", lambda *args: count())
+    monkeypatch.setattr(kaehler, "_form_values", lambda *args: count())
     kaehler.omega_hf.cache_clear()
     assert cli.main(["hf", path, "--m", "1", "--format", fmt]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: Omega^1 Hilbert function did not stabilize")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", list(json.loads(PINNED_HF.read_text())))
+def test_hf_stdout_pinned(capsys, argv):
+    """`hf` stdout on a shipped scheme in every format, with and without
+    --max-degree and --relative, byte for byte as recorded in tests/data."""
+    from importlib import resources
+
+    from kahlerdiff import cli
+
+    expected = json.loads(PINNED_HF.read_text())[argv]
+    path = resources.files("kahlerdiff.data").joinpath("line_mults_123_p1.json")
+    with resources.as_file(path) as scheme:
+        assert cli.main(["hf", str(scheme), *argv.split()]) == 0
+    assert capsys.readouterr().out == expected

@@ -261,24 +261,44 @@ def test_koszul_on_the_line():
     assert all(koszul_check(s, d) for d in range(12))
 
 
-def test_generator_jets_are_jets_of_partials():
-    """Every stored jet vector of dG/dX_i, X_0 included, equals the jets
-    on the scheme of `g.partial(i)` evaluated at the points, on integral
-    and non-integral schemes."""
+def test_ideal_jet_sweep_against_the_ideal_slices():
+    """In every degree up to the sweep's closure and one past it, J_delta,
+    the span of the sweep's rows new at degrees <= delta, equals the span of
+    the top-order jets of `ideal_slice(s, delta)`, computed from its
+    polynomials by `poly_jets` on the fattened scheme.  For each slice
+    member F and i = 0..n, Phi_i of F's top-order jets is the jet vector of
+    dF/dX_i on the top layer of the scheme (times the common denominator of
+    the coordinates), and the lower jets of dF/dX_i vanish.  Integral and
+    non-integral schemes."""
     import random
 
+    from kahlerdiff.exactla import Echelon
     from kahlerdiff.kaehler import _generator_jets
+    from kahlerdiff.schemes import ideal_slice, jet_system
 
     rng = random.Random(14142)
-    for _ in range(5):
+    for _ in range(4):
         base = random_scheme(rng, max_s=3, max_mult=2)
         for s in (base, off_integers(base)):
             gj = _generator_jets(s)
-            assert gj.gens
-            for gi, g in enumerate(gj.gens):
-                for i in range(s.n + 1):
-                    expected = jets_by_partials(g.partial(i), s, gj.js.index)
-                    assert gj.pjets[(gi, i)] == expected
+            fat = jet_system(s.fattening())
+            swept = Echelon(len(gj.top))
+            for delta in range(len(gj.new) + 1):
+                for h in gj.new_rows(delta):
+                    assert swept.insert(h)
+                members = ideal_slice(s, delta)
+                sliced = Echelon(len(gj.top))
+                for f, jets in zip(members, fat.poly_jets(members)):
+                    h = [jets[fat.pos[key]] for key in gj.top]
+                    sliced.insert(h)
+                    for i, part in enumerate(gj.partials(h)):
+                        jets_of_df = dict(zip(gj.js.index, jets_by_partials(
+                            f.partial(i), s, gj.js.index)))
+                        expected = [gj.scale * jets_of_df.pop(key) for key in gj.layer]
+                        assert part == expected, (s, delta, i)
+                        assert not any(jets_of_df.values())
+                assert sliced.rank == swept.rank, (s, delta)
+                assert not any(any(swept.reduce(row)) for row in sliced.rows)
 
 
 def test_sweep_matches_per_degree_presentation():
