@@ -15,11 +15,16 @@ order m_j at P_j.
 One ideal-jet sweep per scheme (`_GeneratorJets`) grows J_delta, the span
 of the top-order jets of (I_W)_delta, degree by degree; linear maps Phi_i
 read the jets of dF/dX_i off them, on the top layer of the scheme, where
-those jets live.  Every table (`omega_hf`, `omega_hf_prefix`, the relative
-variant and `top_form_hf`) inserts the images of the rows new in J at
-degree d - m + 1 into one `Echelon` and shifts nothing.  Jets come from
-the one exact evaluator `schemes.JetSystem`: ints when every point has
-integral coordinates, Fractions otherwise.  `submodule_slice` ranks a
+those jets live.  The same sweep yields HF_W and r_W, the only source of
+them on the form path.  Every table (`omega_hf`, `omega_hf_prefix`, the
+relative variant and `top_form_hf`) inserts the images of the rows new in
+J at degree d - m + 1 into one `Echelon` and shifts nothing, except Omega^1,
+whose rows are independent and so are counted: its rank is dim J_d.
+`schemes.hf_table` keeps its own sweep of W alone, for the callers that
+need only HF_W and as the independent route the checks hold the form
+tables against.  Jets come from the one exact evaluator
+`schemes.JetSystem`: ints when every point has integral coordinates,
+Fractions otherwise.  `submodule_slice` ranks a
 single degree from scratch by Bareiss elimination, with rows built from the
 polynomial minimal generators and the Leibniz rule, and it and its literal
 dense-matrix path are the oracles the tests hold the sweep against.
@@ -190,6 +195,12 @@ class _GeneratorJets:
     grows, past which nothing can (this is Buchberger-Moeller in jet form).
     H (`top`) and L (`layer`) run point by point in the order of the jet
     system, heaviest point first, which fixes the reduced rows kept.
+
+    The first echelon's rank at delta is HF_W(delta), and the second's is
+    dim J_delta = HF_{W+1}(delta) - HF_W(delta), kept in `jdims`.  HF_W
+    grows strictly until it reaches deg W, so the sweep passes r_W before
+    it ends, and `hf` holds HF_W as a table: the form tables read HF_W and
+    r_W there and never run `hf_table`.
     """
 
     def __init__(self, scheme: FatPointScheme):
@@ -216,9 +227,10 @@ class _GeneratorJets:
         ech = Echelon(fat.dim, pivot_cols=js.dim)
         jech = Echelon(len(top))
         self.new: list[list[list[int]]] = []
+        ranks: list[int] = []
+        self.jdims: list[int] = []
         fresh: list[list[int]] = []
         seen: set[int] = set()
-        last = 0
         for rank in span_sweep(fat, ech):
             jech.insert_all(
                 [[a * x for a, x in zip(coords, row)] for row in fresh for coords in top_coords]
@@ -228,12 +240,27 @@ class _GeneratorJets:
             fresh = [list(row) for row, p in zip(jech.rows, jech.pivots) if p not in seen]
             seen = set(jech.pivots)
             self.new.append(fresh)
-            if rank == last and not fresh:
+            self.jdims.append(jech.rank)
+            if ranks and rank == ranks[-1] and not fresh:
                 break
-            last = rank
+            ranks.append(rank)
+        k = ranks.index(js.dim)
+        self.hf = HFTable(tuple(ranks[: k + 1]), k, js.dim)
 
     def new_rows(self, delta: int) -> list[list[int]]:
         return self.new[delta] if 0 <= delta < len(self.new) else []
+
+    def jdim(self, delta: int) -> int:
+        """dim J_delta = HF_{W+1}(delta) - HF_W(delta)."""
+        return self.jdims[min(delta, len(self.jdims) - 1)] if delta >= 0 else 0
+
+    @property
+    def fattened_ri(self) -> int:
+        """ri(W+1), the first degree where HF_W + dim J fills deg(W+1)."""
+        full = self.js.dim + len(self.top)
+        return next(
+            d for d, jdim in enumerate(self.jdims) if self.hf.value(d) + jdim == full
+        )
 
     def partials(self, h: Sequence[int]) -> list[list[int]]:
         """scale * (Phi_0(h), ..., Phi_n(h)): the jets on the top layer of W
@@ -473,12 +500,23 @@ def _form_values(
     the top-layer jet coordinates.  Modulo I * Omega^m, A dF = d(AF) - F dA
     is d(AF), so R_d is spanned by the rows `rows_of(partials(h))` over h in
     J_{d-m+1}; its growth at d is spanned by the rows of the ideal-jet rows
-    new at d - m + 1, and nothing is shifted."""
+    new at d - m + 1, and nothing is shifted.  HF_W comes from the sweep.
+
+    For m = 1 (absolute or relative) the row of h is Phi(h), and it is
+    counted, not eliminated.  Phi_1..Phi_n between them read every H-jet of
+    h, since each gamma' with |gamma'| = m_j >= 1 is gamma + e_t for some
+    (j, gamma) in L; so Phi is injective on J.  The rows new at each degree
+    are independent (each is zero at every earlier pivot), so dim R_d =
+    dim J_d and HF(d) = blocks * HF_W(d - 1) - dim J_d."""
     gj = _generator_jets(scheme)
-    ech = Echelon(blocks * gj.width)
-    for d in count():
-        ech.insert_all(row for h in gj.new_rows(d - m + 1) for row in rows_of(gj.partials(h)))
-        yield blocks * hilbert_function(scheme, d - m) - ech.rank
+    if m == 1:
+        for d in count():
+            yield blocks * gj.hf.value(d - 1) - gj.jdim(d)
+    else:
+        ech = Echelon(blocks * gj.width)
+        for d in count():
+            ech.insert_all(row for h in gj.new_rows(d - m + 1) for row in rows_of(gj.partials(h)))
+            yield blocks * gj.hf.value(d - m) - ech.rank
 
 
 def _certified(
@@ -488,9 +526,11 @@ def _certified(
 
     The scan stops at the first degree d >= r_W + m with HF(d) = HF(d+1):
     past r_W + m the function is nonincreasing and strictly decreases until
-    it reaches its constant value, so a repeat certifies the tail.
+    it reaches its constant value, so a repeat certifies the tail.  r_W,
+    and r_{W+1} for the extended cap, come from the ideal-jet sweep.
     """
-    r = regularity_index(scheme)
+    gj = _generator_jets(scheme)
+    r = gj.hf.stable_from
     cap = 2 * r + scheme.n + 2
     cap_extended = False
     table: list[int] = []
@@ -499,7 +539,7 @@ def _certified(
         if d - 1 >= r + m and value == table[d - 1]:
             return OmegaHF(scheme, m, relative, HFTable.from_values(table), d - 1)
         if d > cap and not cap_extended:
-            cap = max(cap, regularity_index(scheme.fattening()) + scheme.n + 2)
+            cap = max(cap, gj.fattened_ri + scheme.n + 2)
             cap_extended = True
         if d > cap:
             raise StabilizationError(

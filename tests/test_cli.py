@@ -225,6 +225,39 @@ def test_form_scan_cap_exit_code(tmp_path, monkeypatch, capsys, fmt):
     assert err.count("\n") == 1
 
 
+def test_bounds_checks_koszul_past_the_old_window(tmp_path, monkeypatch, capsys):
+    """`bounds` checks the alternating-sum identity in every degree up to one
+    past the last stabilization: a table wrong only past r + n + 2 turns
+    koszul_ok false and exits 1."""
+    from dataclasses import replace
+
+    from kahlerdiff import cli, kaehler
+    from kahlerdiff.schemes import HFTable
+
+    path = _shipped(tmp_path, "nine_points_p2.json")
+    real = kaehler.omega_hf
+    wrong_at = 10
+
+    def skewed(scheme, m, relative=False):
+        o = real(scheme, m, relative)
+        if m != 1 or relative:
+            return o
+        values = list(o.table.values)
+        values[wrong_at] += 2
+        return replace(o, table=HFTable.from_values(values))
+
+    scheme = cli._load_scheme(path)
+    r = cli.regularity_index(scheme)
+    assert r + scheme.n + 2 < wrong_at < real(scheme, 1).ri
+    assert skewed(scheme, 1).table.hp == real(scheme, 1).table.hp
+    monkeypatch.setattr(kaehler, "omega_hf", skewed)
+    monkeypatch.setattr(cli, "omega_hf", skewed)
+    assert cli.main(["bounds", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["koszul_ok"] is False
+    assert all(b["status"] not in ("VIOLATED", "MISMATCH") for b in report["bounds"])
+
+
 @pytest.mark.parametrize("argv", list(json.loads(PINNED_HF.read_text())))
 def test_hf_stdout_pinned(capsys, argv):
     """`hf` stdout on a shipped scheme in every format, with and without

@@ -301,6 +301,47 @@ def test_ideal_jet_sweep_against_the_ideal_slices():
                 assert not any(any(swept.reduce(row)) for row in sliced.rows)
 
 
+def test_ideal_jet_sweep_counts():
+    """The sweep's echelon pivots only on W's columns, so its ranks are
+    HF_W, and dim J_delta = HF_{W+1}(delta) - HF_W(delta), the identity on
+    which the count of Omega^1 rests, checked through one degree past the
+    sweep's end against the W and W+1 sweeps of `hf_table`.  Integral and
+    non-integral schemes."""
+    import random
+
+    from kahlerdiff.kaehler import _generator_jets
+    from kahlerdiff.schemes import regularity_index
+
+    rng = random.Random(27182)
+    for _ in range(8):
+        base = random_scheme(rng, max_s=4, max_mult=3)
+        for s in (base, off_integers(base)):
+            gj = _generator_jets(s)
+            assert gj.hf == hf_table(s), s
+            fat = s.fattening()
+            for delta in range(len(gj.new) + 1):
+                expected = hilbert_function(fat, delta) - hilbert_function(s, delta)
+                assert gj.jdim(delta) == expected, (s, delta)
+            assert gj.fattened_ri == regularity_index(fat), s
+
+
+def test_form_tables_never_sweep_the_scheme_again():
+    """HF_W and r_W on the form path come from the ideal-jet sweep: no
+    absolute, relative, prefix or top-form table runs `hf_table`."""
+    s = simple(2, (1, 17, -23), (1, -19, 29), (1, 31, 37), mults=[3, 1, 2])
+    misses = hf_table.cache_info().misses
+    for m in range(1, 4):
+        omega_hf(s, m)
+        omega_hf_prefix(s, m, 9)
+    for m in range(1, 3):
+        omega_hf(s, m, relative=True)
+        omega_hf_prefix(s, m, 9, relative=True)
+    top_form_hf(s)
+    assert hf_table.cache_info().misses == misses
+    hf_table(s)  # the scheme was fresh, so the pin above was live
+    assert hf_table.cache_info().misses == misses + 1
+
+
 def test_sweep_matches_per_degree_presentation():
     """The degree sweep against the presentation ranked afresh per degree:
     HF(d) = C * C(n+d-m, n) - dim (I*Omega^m + dI*Omega^{m-1})_d, with
@@ -337,6 +378,12 @@ def test_sweep_matches_dense_presentation():
             for d in range(m, o.cert_degree + 2):
                 dense = submodule_slice(s, m, d, method="dense")
                 assert o.table.value(d) == comb(n + 1, m) * comb(n + d - m, n) - dense
+        # the Jacobian route inserts the rows of Omega^{n+1} up to sign and
+        # order, so it too is held against the literal matrix
+        top = top_form_hf(s)
+        for d in range(n + 1, top.cert_degree + 2):
+            dense = submodule_slice(s, n + 1, d, method="dense")
+            assert top.table.value(d) == comb(d - 1, n) - dense
 
 
 def test_form_tables_invariant_under_coordinate_change():
