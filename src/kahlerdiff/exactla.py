@@ -7,6 +7,9 @@ kernel: an incremental, fraction-free reduced echelon form that the Hilbert
 tables and the ideal-jet sweep grow degree by degree, that
 `kernel_standard` reads primitive integer kernel bases off, with no
 `Fraction` built, and whose pivot columns pick the minimal generators.
+It grows by batches: the reduced form holds between batches, while inside
+one the rows are in echelon form but not reduced, and one back-substitution
+pass at the end of the batch clears them at the new pivots.
 Bareiss elimination (`rank_int`, `bareiss_pivots`) ranks a whole integer
 matrix in one pass; it serves the
 one-shot checks (a single-degree `submodule_slice`, general position) and
@@ -186,8 +189,7 @@ def kernel_standard(
     v[free] = L and v[p] = -row[free] * (L / row[p]), divided by the content.
     """
     ech = Echelon(ncols)
-    for row in rows:
-        ech.insert(row)
+    ech.insert_all(integer_rows(rows))
     pivot_set = set(ech.pivots)
     basis = []
     free_cols = []
@@ -211,18 +213,22 @@ def kernel_standard(
 class Echelon:
     """Incremental row space over Q, kept fraction-free.
 
-    Rows are primitive integer vectors in reduced echelon form: each has a
-    positive entry at its own pivot and zeros at the pivots of the others.
-    support[k] lists the nonzero columns of rows[k], the only ones visited
-    when that row is used.
+    Between batches the rows are primitive integer vectors in reduced
+    echelon form: each has a positive entry at its own pivot and zeros at
+    the pivots of the others.  support[k] lists the nonzero columns of
+    rows[k], the only ones visited when that row is used.
 
     Pivots are taken among the first `pivot_cols` columns (by default all
     of them); the other columns are carried along.  A vector whose
     residual vanishes on the pivot columns is not inserted: its residual
     on the carried columns is appended to `carried` instead.
+
+    Inside `insert_all` the rows are in echelon form but not reduced: a new
+    row goes in at its pivot and the rows are cleared at the new pivots
+    once, when the batch ends.
     """
 
-    __slots__ = ("ncols", "pivot_cols", "rows", "pivots", "support", "carried")
+    __slots__ = ("ncols", "pivot_cols", "rows", "pivots", "support", "carried", "_batch")
 
     def __init__(self, ncols: int, pivot_cols: int | None = None):
         self.ncols = ncols
@@ -231,6 +237,8 @@ class Echelon:
         self.pivots: list[int] = []
         self.support: list[list[int]] = []
         self.carried: list[list[int]] = []
+        # pivots placed by the running `insert_all` and not yet cleared
+        self._batch: list[int] | None = None
 
     @property
     def rank(self) -> int:
@@ -238,7 +246,10 @@ class Echelon:
 
     def reduce(self, vec: Sequence[Fraction | int]) -> list[int]:
         """A positive integer multiple of the residual of `vec` modulo the
-        space; it is zero exactly when `vec` lies in the space."""
+        space; it is zero exactly when `vec` lies in the space.
+
+        The rows are taken in pivot order, and each is zero left of its
+        pivot, so this needs the rows in echelon form only."""
         v = _clear_row_denominators(vec)
         for row, p, supp in zip(self.rows, self.pivots, self.support):
             f = v[p]
@@ -262,31 +273,88 @@ class Echelon:
             return False
         _make_primitive(v, supp)
         lead = supp[0]
-        c = v[lead]
-        for k, row in enumerate(self.rows):
-            f = row[lead]
-            if f:
-                g = gcd(f, c)
-                a, b = c // g, f // g
-                if a != 1:
-                    for j in self.support[k]:
-                        row[j] *= a
-                for j in supp:
-                    row[j] -= b * v[j]
-                self.support[k] = [j for j in range(self.ncols) if row[j]]
-                _make_primitive(row, self.support[k])
         at = bisect_left(self.pivots, lead)
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)
         self.support.insert(at, supp)
+        if self._batch is None:
+            self._back_substitute([lead])
+        else:
+            self._batch.append(lead)
         return True
 
     def insert_all(self, vecs: Iterable[Sequence[int]]) -> None:
         """Insert integer vectors, smallest total bit length first: the order
         fixes the cost of the elimination, not the span, and small rows
-        first keep the entries of the echelon small."""
-        for vec in sorted(vecs, key=lambda v: sum(map(int.bit_length, map(abs, v)))):
-            self.insert(vec)
+        first keep the entries of the echelon small.
+
+        Each vector goes through `insert`, which places an independent
+        residual at its pivot; the rows are cleared at the new pivots once,
+        when the batch ends."""
+        ordered = sorted(vecs, key=lambda v: sum(map(int.bit_length, map(abs, v))))
+        self._batch = new = []
+        try:
+            for vec in ordered:
+                self.insert(vec)
+        finally:
+            self._batch = None
+            if new:
+                self._back_substitute(new)
+
+    def _back_substitute(self, new: list[int]) -> None:
+        """Restore the reduced form after rows with pivots `new` went in.
+
+        Only the rows above the rightmost new row can be nonzero at a new
+        pivot.  They are cleared bottom up, each at every new pivot right of
+        its own, with the new rows there, which are clean by then; a row
+        that is hit is rescanned and made primitive once.  A single new
+        pivot, the common case, takes a plain loop."""
+        rows, pivots, support = self.rows, self.pivots, self.support
+        if len(new) == 1:
+            lead = new[0]
+            at = bisect_left(pivots, lead)
+            v, supp = rows[at], support[at]
+            c = v[lead]
+            for k in range(at):
+                row = rows[k]
+                f = row[lead]
+                if f:
+                    g = gcd(f, c)
+                    a, b = c // g, f // g
+                    if a != 1:
+                        for j in support[k]:
+                            row[j] *= a
+                    for j in supp:
+                        row[j] -= b * v[j]
+                    support[k] = [j for j in range(self.ncols) if row[j]]
+                    _make_primitive(row, support[k])
+            return
+        fresh = set(new)
+        clean: list[tuple[int, list[int], list[int]]] = []
+        for k in range(bisect_left(pivots, max(new)), -1, -1):
+            row = rows[k]
+            hits = []
+            for q, r, s in clean:
+                f = row[q]
+                if f:
+                    g = gcd(f, r[q])
+                    hits.append((r[q] // g, f // g, r, s))
+            if hits:
+                # one common multiplier for all hits: the clean rows are zero
+                # at each other's pivots, so subtracting one leaves the
+                # entries of `row` at the other new pivots as they were
+                L = lcm(*(a for a, _, _, _ in hits))
+                if L != 1:
+                    for j in support[k]:
+                        row[j] *= L
+                for a, b, r, s in hits:
+                    b *= L // a
+                    for j in s:
+                        row[j] -= b * r[j]
+                support[k] = [j for j in range(self.ncols) if row[j]]
+                _make_primitive(row, support[k])
+            if pivots[k] in fresh:
+                clean.append((pivots[k], row, support[k]))
 
 
 def _make_primitive(row: list[int], supp: Sequence[int]) -> None:

@@ -169,3 +169,71 @@ def test_echelon_rank_matches_matrix_rank(mat):
     for row in mat:
         ech.insert([Fraction(x) for x in row])
     assert ech.rank == ExactMatrix(mat).rank()
+
+
+@st.composite
+def batched_matrices(draw, max_dim=7):
+    """An integer matrix, its rows cut into consecutive batches, and a
+    number of pivot columns."""
+    entries = st.integers(min_value=-6, max_value=6)
+    nrows = draw(st.integers(min_value=1, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    mat = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=nrows), max_size=3)))
+    batches = [mat[a:b] for a, b in zip([0, *cuts], [*cuts, nrows])]
+    return mat, batches, draw(st.integers(min_value=0, max_value=ncols))
+
+
+def _assert_reduced(ech):
+    """Primitive rows with positive pivots in reduced echelon form, each
+    with its exact support."""
+    assert ech.pivots == sorted(set(ech.pivots))
+    for row, p, supp in zip(ech.rows, ech.pivots, ech.support):
+        assert supp == [j for j, x in enumerate(row) if x]
+        assert supp[0] == p < ech.pivot_cols
+        assert row[p] > 0
+        assert gcd(*row) == 1
+        assert all(row[q] == 0 for q in ech.pivots if q != p)
+
+
+def _span(vectors, ncols):
+    ech = Echelon(ncols)
+    for v in vectors:
+        ech.insert(v)
+    return ech.rows
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return [x // g for x in v]
+
+
+@given(batched_matrices())
+@settings(deadline=None, max_examples=300)
+def test_insert_all_matches_sequential_insert(case):
+    mat, batches, pivot_cols = case
+    ncols = len(mat[0])
+    for cols in (None, pivot_cols):
+        one = Echelon(ncols, cols)
+        for row in mat:
+            one.insert(row)
+        batched = Echelon(ncols, cols)
+        for batch in batches:
+            batched.insert_all([list(row) for row in batch])
+            _assert_reduced(batched)
+        _assert_reduced(one)
+        if cols is None:
+            assert (batched.rows, batched.pivots, batched.support) == (
+                one.rows, one.pivots, one.support
+            )
+            continue
+        # With carried columns only the pivot-column part of the row space
+        # has a unique reduced form; the carried part of a row, and the
+        # carried residuals, depend on the order of insertion.
+        assert batched.pivots == one.pivots
+        assert [_primitive(r[:cols]) for r in batched.rows] == [
+            _primitive(r[:cols]) for r in one.rows
+        ]
+        assert _span(batched.carried, ncols - cols) == _span(one.carried, ncols - cols)
+        pad = [0] * cols
+        assert _span(batched.rows + [pad + v for v in batched.carried], ncols) == _span(mat, ncols)

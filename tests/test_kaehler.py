@@ -168,13 +168,19 @@ def test_eventual_monotone_decrease(rng):
 
 
 def test_top_form_equals_presentation_path(rng):
+    """Both routes to the top form insert the same rows, so each is held
+    against the presentation: comb(d - 1, n) = dim (Omega^{n+1}_S)_d minus
+    the slice ranked from the polynomial generators by Bareiss."""
+    from math import comb
+
     for _ in range(6):
         s = random_scheme(rng, max_s=4, max_mult=2)
         top = top_form_hf(s)
         direct = omega_hf(s, s.n + 1)
-        assert [top.table.value(i) for i in range(top.ri + 3)] == [
-            direct.table.value(i) for i in range(top.ri + 3)
-        ]
+        degrees = range(1, top.ri + 3)
+        presented = [comb(d - 1, s.n) - submodule_slice(s, s.n + 1, d) for d in degrees]
+        assert [top.table.value(d) for d in degrees] == presented
+        assert [direct.table.value(d) for d in degrees] == presented
         assert top.ri == direct.ri
 
 
