@@ -550,10 +550,15 @@ def _certified(
 
 def _omega_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int]:
     """The wedge presentation: the rows dF ^ dX_J over the (m-1)-subsets J,
-    with dF = sum_i Phi_i(h) dX_i."""
+    with dF = sum_i Phi_i(h) dX_i.
+
+    The blocks of the rows run in reverse order of their subsets, so the
+    blocks of the subsets with 0, which hold the dense Phi_0 = -sum_i p_i
+    Phi_i, come last, and the pivots, taken leftmost, land on the sparse
+    Phi_i blocks.  A permutation of the columns changes no rank."""
     _check_form_degree(scheme, m, relative)
     basis = WedgeBasis(scheme.n, m, relative)
-    tpos = {T: k for k, T in enumerate(basis.subsets)}
+    tpos = {T: k for k, T in enumerate(reversed(basis.subsets))}
     terms = [
         [(i, tpos[tuple(sorted(J + (i,)))], _insertion_sign(i, J))
          for i in basis.indices if i not in J]

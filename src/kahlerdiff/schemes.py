@@ -529,15 +529,24 @@ def _json_coord(value) -> Fraction:
     return Fraction(value)
 
 
+def _json_coords(value) -> list[Fraction]:
+    """The coordinates of a point: a JSON array, not a string or an object,
+    whose characters or keys would be read one by one."""
+    if not isinstance(value, list):
+        raise ValueError(f"coords must be a JSON array, got {value!r}")
+    return [_json_coord(c) for c in value]
+
+
 def scheme_from_json_dict(doc: dict) -> FatPointScheme:
     """Parse `{"n": 2, "points": [{"coords": ["1","1","0"], "mult": 2}, ...]}`.
 
-    n and mult must be JSON integers, coordinates integers or strings.
+    n and mult must be JSON integers, coords a JSON array of integers or
+    strings.
     """
     try:
         n = _json_int(doc["n"], "n")
         entries = doc["points"]
-        points = [ProjPoint([_json_coord(c) for c in e["coords"]]) for e in entries]
+        points = [ProjPoint(_json_coords(e["coords"])) for e in entries]
         mults = [_json_int(e.get("mult", 1), "mult") for e in entries]
     except CoordinateAssumptionError:
         raise

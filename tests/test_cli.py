@@ -160,15 +160,17 @@ def test_bounds_violation_exit_code(scheme_file, monkeypatch, capsys, fmt):
         {"coords": ["1", "0", "0"], "mult": 2.7},
         {"coords": ["1", "0", "0"], "mult": True},
         {"coords": [1, 0.1, 0], "mult": 1},
+        {"coords": "100", "mult": 1},
+        {"coords": {"1": 0, "2": 0, "3": 0}, "mult": 1},
     ],
-    ids=["float-mult", "bool-mult", "float-coordinate"],
+    ids=["float-mult", "bool-mult", "float-coordinate", "string-coords", "object-coords"],
 )
 def test_coerced_input_rejected(tmp_path, point):
     path = tmp_path / "coerced.json"
     path.write_text(json.dumps({"n": 2, "points": [point]}))
     res = run_cli("hf", str(path))
     assert res.returncode == 2
-    assert "error" in res.stderr and res.stdout == ""
+    assert "malformed scheme description" in res.stderr and res.stdout == ""
 
 
 def test_integer_coordinates_accepted(tmp_path):

@@ -173,14 +173,14 @@ def test_echelon_rank_matches_matrix_rank(mat):
 
 @st.composite
 def batched_matrices(draw, max_dim=7):
-    """An integer matrix, its rows cut into consecutive batches, and a
-    number of pivot columns."""
+    """An integer matrix, its rows cut into consecutive batches, each batch
+    in a random order, and a number of pivot columns."""
     entries = st.integers(min_value=-6, max_value=6)
     nrows = draw(st.integers(min_value=1, max_value=max_dim))
     ncols = draw(st.integers(min_value=1, max_value=max_dim))
     mat = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=nrows), max_size=3)))
-    batches = [mat[a:b] for a, b in zip([0, *cuts], [*cuts, nrows])]
+    batches = [draw(st.permutations(mat[a:b])) for a, b in zip([0, *cuts], [*cuts, nrows])]
     return mat, batches, draw(st.integers(min_value=0, max_value=ncols))
 
 
@@ -219,7 +219,9 @@ def test_insert_all_matches_sequential_insert(case):
             one.insert(row)
         batched = Echelon(ncols, cols)
         for batch in batches:
-            batched.insert_all([list(row) for row in batch])
+            given = [list(row) for row in batch]
+            batched.insert_all(given)
+            assert given == batch
             _assert_reduced(batched)
         _assert_reduced(one)
         if cols is None:

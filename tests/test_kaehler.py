@@ -390,6 +390,21 @@ def test_sweep_matches_dense_presentation():
         for d in range(n + 1, top.cert_degree + 2):
             dense = submodule_slice(s, n + 1, d, method="dense")
             assert top.table.value(d) == comb(d - 1, n) - dense
+    # P^3, where the order of the wedge blocks matters most: Omega^2 and
+    # Omega^3 have 6 and 4 blocks
+    for s in (
+        simple(3, (1, 0, 0, 0), (1, 1, -1, 2), mults=[2, 1]),
+        simple(3, (1, 0, 0, 0), (1, 1, 2, 0), (1, -1, 1, 3), mults=[1, 1, 2]),
+    ):
+        n = s.n
+        for relative in (False, True):
+            free = n if relative else n + 1
+            for m in range(2, free + 1):
+                o = omega_hf(s, m, relative)
+                for d in range(m, o.cert_degree + 2):
+                    dense = submodule_slice(s, m, d, relative, method="dense")
+                    expected = comb(free, m) * comb(n + d - m, n) - dense
+                    assert o.table.value(d) == expected, (s, m, relative, d)
 
 
 def test_form_tables_invariant_under_coordinate_change():
