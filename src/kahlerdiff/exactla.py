@@ -15,8 +15,7 @@ Bareiss elimination (`rank_int`, `bareiss_pivots`) ranks a whole integer
 matrix in one pass; it serves the
 one-shot checks (a single-degree `submodule_slice`, general position) and
 is the oracle the tests hold the sweeps against.
-`rref` and `ExactMatrix.rank_naive` are rational-arithmetic oracles for the
-tests.
+`rref`, in rational arithmetic, is the oracle for `kernel_standard`.
 """
 
 from __future__ import annotations
@@ -104,48 +103,6 @@ def bareiss_pivots(rows: list[list[int]]) -> tuple[int, list[int]]:
     """
     pivots = _bareiss(rows)
     return len(pivots), pivots
-
-
-class ExactMatrix:
-    """Dense matrix over Q, immutable after construction."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(row) != self.ncols for row in self.rows):
-            raise ValueError("ragged rows")
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows))) if self.rows else ExactMatrix([])
-
-    def rank(self) -> int:
-        return rank_int(integer_rows(self.rows))
-
-    def kernel_dimension(self) -> int:
-        return self.ncols - self.rank()
-
-    def rank_naive(self) -> int:
-        """Plain rational Gaussian elimination; oracle for the Bareiss path."""
-        rows = [list(row) for row in self.rows]
-        r = 0
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-            if r == len(rows):
-                break
-        return r
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -326,28 +283,8 @@ class Echelon:
         Only the rows above the rightmost new row can be nonzero at a new
         pivot.  They are cleared bottom up, each at every new pivot right of
         its own, with the new rows there, which are clean by then; a row
-        that is hit is rescanned and made primitive once.  A single new
-        pivot, the common case, takes a plain loop."""
+        that is hit is rescanned and made primitive once."""
         rows, pivots, support = self.rows, self.pivots, self.support
-        if len(new) == 1:
-            lead = new[0]
-            at = bisect_left(pivots, lead)
-            v, supp = rows[at], support[at]
-            c = v[lead]
-            for k in range(at):
-                row = rows[k]
-                f = row[lead]
-                if f:
-                    g = gcd(f, c)
-                    a, b = c // g, f // g
-                    if a != 1:
-                        for j in support[k]:
-                            row[j] *= a
-                    for j in supp:
-                        row[j] -= b * v[j]
-                    support[k] = list(compress(range(self.ncols), row))
-                    _make_primitive(row, support[k])
-            return
         fresh = set(new)
         clean: list[tuple[int, list[int], list[int]]] = []
         for k in range(bisect_left(pivots, max(new)), -1, -1):

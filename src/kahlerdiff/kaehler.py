@@ -16,10 +16,13 @@ One ideal-jet sweep per scheme (`_GeneratorJets`) grows J_delta, the span
 of the top-order jets of (I_W)_delta, degree by degree; linear maps Phi_i
 read the jets of dF/dX_i off them, on the top layer of the scheme, where
 those jets live.  The same sweep yields HF_W and r_W, the only source of
-them on the form path.  Every table (`omega_hf`, `omega_hf_prefix`, the
-relative variant and `top_form_hf`) inserts the images of the rows new in
-J at degree d - m + 1 into one `Echelon` and shifts nothing, except Omega^1,
-whose rows are independent and so are counted: its rank is dim J_d.
+them on the form path.  One generator, `_form_values`, feeds every table
+(`omega_hf`, `omega_hf_prefix` and the relative variant; `top_form_hf` is
+the cached `omega_hf` at m = n + 1): it inserts the images of the rows new
+in J at degree d - m + 1 into one `Echelon` and shifts nothing, except for
+Omega^1, whose rows are independent and so are counted: its rank is dim J_d.
+The scan stops at a repeated value past r_W + m, which the fattening bound
+places by D* = max(r_W + m, r_{W+1} + m - 1); D* + 1 caps it.
 `schemes.hf_table` keeps its own sweep of W alone, for the callers that
 need only HF_W and as the independent route the checks hold the form
 tables against.  Jets come from the one exact evaluator
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, islice
 from math import comb, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exactla import Echelon, integer_rows, rank_int
 from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
@@ -488,35 +491,55 @@ class OmegaHF:
         return self.table.hp
 
 
-def _form_values(
-    scheme: FatPointScheme,
-    m: int,
-    blocks: int,
-    rows_of: Callable[[list[list[int]]], list[list[int]]],
-) -> Iterator[int]:
-    """Yield blocks * HF_W(d - m) - dim R_d for d = 0, 1, 2, ...
+def _form_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int]:
+    """Yield C * HF_W(d - m) - dim R_d for d = 0, 1, 2, ..., with C the
+    number of wedge monomials.
 
-    R_d is the image of dI * Omega^{m-1} in degree d, in `blocks` copies of
-    the top-layer jet coordinates.  Modulo I * Omega^m, A dF = d(AF) - F dA
-    is d(AF), so R_d is spanned by the rows `rows_of(partials(h))` over h in
-    J_{d-m+1}; its growth at d is spanned by the rows of the ideal-jet rows
-    new at d - m + 1, and nothing is shifted.  HF_W comes from the sweep.
+    R_d is the image of dI * Omega^{m-1} in degree d, in C copies of the
+    top-layer jet coordinates.  Modulo I * Omega^m, A dF = d(AF) - F dA is
+    d(AF), so R_d is spanned by the rows dF ^ dX_J over the (m-1)-subsets J
+    and h in J_{d-m+1}, with dF = sum_i Phi_i(h) dX_i; its growth at d is
+    spanned by the rows of the ideal-jet rows new at d - m + 1, and nothing
+    is shifted.  HF_W comes from the sweep.
+
+    The blocks of the rows run in reverse order of their subsets, so the
+    blocks of the subsets with 0, which hold the dense Phi_0 = -sum_i p_i
+    Phi_i, come last, and the pivots, taken leftmost, land on the sparse
+    Phi_i blocks.  A permutation of the columns changes no rank.
 
     For m = 1 (absolute or relative) the row of h is Phi(h), and it is
     counted, not eliminated.  Phi_1..Phi_n between them read every H-jet of
     h, since each gamma' with |gamma'| = m_j >= 1 is gamma + e_t for some
     (j, gamma) in L; so Phi is injective on J.  The rows new at each degree
     are independent (each is zero at every earlier pivot), so dim R_d =
-    dim J_d and HF(d) = blocks * HF_W(d - 1) - dim J_d."""
+    dim J_d and HF(d) = C * HF_W(d - 1) - dim J_d."""
+    basis = WedgeBasis(scheme.n, m, relative)
+    blocks = basis.size
     gj = _generator_jets(scheme)
     if m == 1:
         for d in count():
             yield blocks * gj.hf.value(d - 1) - gj.jdim(d)
-    else:
-        ech = Echelon(blocks * gj.width)
-        for d in count():
-            ech.insert_all(row for h in gj.new_rows(d - m + 1) for row in rows_of(gj.partials(h)))
-            yield blocks * gj.hf.value(d - m) - ech.rank
+    tpos = {T: k for k, T in enumerate(reversed(basis.subsets))}
+    terms = [
+        [(i, tpos[tuple(sorted(J + (i,)))], _insertion_sign(i, J))
+         for i in basis.indices if i not in J]
+        for J in combinations(basis.indices, m - 1)
+    ]
+    w = gj.width
+    ech = Echelon(blocks * w)
+    for d in count():
+        rows = []
+        for h in gj.new_rows(d - m + 1):
+            parts = gj.partials(h)
+            for wedge in terms:
+                row = [0] * (blocks * w)
+                for i, k, sign in wedge:
+                    if any(parts[i]):
+                        row[k * w : (k + 1) * w] = parts[i] if sign > 0 else [-v for v in parts[i]]
+                if any(row):
+                    rows.append(row)
+        ech.insert_all(rows)
+        yield blocks * gj.hf.value(d - m) - ech.rank
 
 
 def _certified(
@@ -526,21 +549,21 @@ def _certified(
 
     The scan stops at the first degree d >= r_W + m with HF(d) = HF(d+1):
     past r_W + m the function is nonincreasing and strictly decreases until
-    it reaches its constant value, so a repeat certifies the tail.  r_W,
-    and r_{W+1} for the extended cap, come from the ideal-jet sweep.
+    it reaches its constant value, so a repeat certifies the tail.  It is
+    constant from D* = max(r_W + m, r_{W+1} + m - 1) on: R_d is spanned by
+    the wedge rows of J_{d-m+1}, which is all of the top-order block once
+    d - m + 1 >= r_{W+1}, and HF_W(d - m) = deg W once d - m >= r_W.  So the
+    repeat is seen by D* + 1, and a scan past that cap raises.  r_W and
+    r_{W+1} come from the ideal-jet sweep.
     """
     gj = _generator_jets(scheme)
     r = gj.hf.stable_from
-    cap = 2 * r + scheme.n + 2
-    cap_extended = False
+    cap = max(r + m, gj.fattened_ri + m - 1) + 1
     table: list[int] = []
     for d, value in enumerate(values):
         table.append(value)
         if d - 1 >= r + m and value == table[d - 1]:
             return OmegaHF(scheme, m, relative, HFTable.from_values(table), d - 1)
-        if d > cap and not cap_extended:
-            cap = max(cap, gj.fattened_ri + scheme.n + 2)
-            cap_extended = True
         if d > cap:
             raise StabilizationError(
                 f"Omega^{m} Hilbert function did not stabilize below {cap}"
@@ -548,66 +571,27 @@ def _certified(
     raise AssertionError("the sweep is endless")
 
 
-def _omega_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int]:
-    """The wedge presentation: the rows dF ^ dX_J over the (m-1)-subsets J,
-    with dF = sum_i Phi_i(h) dX_i.
-
-    The blocks of the rows run in reverse order of their subsets, so the
-    blocks of the subsets with 0, which hold the dense Phi_0 = -sum_i p_i
-    Phi_i, come last, and the pivots, taken leftmost, land on the sparse
-    Phi_i blocks.  A permutation of the columns changes no rank."""
-    _check_form_degree(scheme, m, relative)
-    basis = WedgeBasis(scheme.n, m, relative)
-    tpos = {T: k for k, T in enumerate(reversed(basis.subsets))}
-    terms = [
-        [(i, tpos[tuple(sorted(J + (i,)))], _insertion_sign(i, J))
-         for i in basis.indices if i not in J]
-        for J in combinations(basis.indices, m - 1)
-    ]
-    w = _generator_jets(scheme).width
-
-    def rows_of(parts: list[list[int]]) -> list[list[int]]:
-        rows = []
-        for wedge in terms:
-            row = [0] * (basis.size * w)
-            for i, k, sign in wedge:
-                if any(parts[i]):
-                    row[k * w : (k + 1) * w] = parts[i] if sign > 0 else [-v for v in parts[i]]
-            if any(row):
-                rows.append(row)
-        return rows
-
-    return _form_values(scheme, m, basis.size, rows_of)
-
-
 @lru_cache(maxsize=None)
 def omega_hf(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
     """Hilbert function table of Omega^m, swept to certified stabilization."""
-    return _certified(scheme, m, relative, _omega_values(scheme, m, relative))
+    _check_form_degree(scheme, m, relative)
+    return _certified(scheme, m, relative, _form_values(scheme, m, relative))
 
 
 def omega_hf_prefix(
     scheme: FatPointScheme, m: int, up_to: int, relative: bool = False
 ) -> list[int]:
     """Values HF_{Omega^m}(0..up_to) with no stabilization certificate."""
-    return list(islice(_omega_values(scheme, m, relative), max(up_to + 1, 0)))
+    _check_form_degree(scheme, m, relative)
+    return list(islice(_form_values(scheme, m, relative), max(up_to + 1, 0)))
 
 
-@lru_cache(maxsize=None)
 def top_form_hf(scheme: FatPointScheme) -> OmegaHF:
-    """Hilbert table of the top form module via the Jacobian-ideal quotient,
-    HF_{Omega^{n+1}}(i) = HF_{S/(I + <all partials of I>)}(i - n - 1).
-
-    One block of top-layer jet coordinates: modulo I, A dF/dX_i is
-    d(AF)/dX_i, so the partials of J_delta, Phi_0(h), ..., Phi_n(h), enter
-    at degree delta + n and span the Jacobian part with no shifting.
-    """
-    n = scheme.n
-    return _certified(scheme, n + 1, False, _form_values(scheme, n + 1, 1, _nonzero))
-
-
-def _nonzero(parts: list[list[int]]) -> list[list[int]]:
-    return [part for part in parts if any(part)]
+    """Hilbert table of the top form module Omega^{n+1}, which the Jacobian
+    quotient also presents: HF(i) = HF_{S/(I + <all partials of I>)}(i - n - 1).
+    Its wedge rows are the partials Phi_0(h), ..., Phi_n(h) up to sign, so
+    it is the table of `omega_hf(scheme, n + 1)`, from the same cache."""
+    return omega_hf(scheme, scheme.n + 1)
 
 
 def koszul_check(scheme: FatPointScheme, d: int) -> bool:

@@ -48,7 +48,11 @@ class CoordinateAssumptionError(ValueError):
 
 
 class StabilizationError(RuntimeError):
-    """A Hilbert table did not stabilize below its scan cap."""
+    """A Hilbert table did not stabilize below its scan cap.
+
+    A form table is constant from D* = max(r_W + m, r_{W+1} + m - 1) on, the
+    fattening bound, so its scan certifies by D* and its cap is D* + 1:
+    reaching it means a fault in the engine, not a hard input."""
 
 
 @dataclass(frozen=True)

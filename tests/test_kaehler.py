@@ -168,20 +168,52 @@ def test_eventual_monotone_decrease(rng):
 
 
 def test_top_form_equals_presentation_path(rng):
-    """Both routes to the top form insert the same rows, so each is held
-    against the presentation: comb(d - 1, n) = dim (Omega^{n+1}_S)_d minus
-    the slice ranked from the polynomial generators by Bareiss."""
+    """There is one route to the top form: `top_form_hf` is the cached
+    table of `omega_hf(s, n + 1)`.  It is held against the presentation,
+    comb(d - 1, n) = dim (Omega^{n+1}_S)_d minus the slice ranked from the
+    polynomial generators by Bareiss (`submodule_slice`)."""
     from math import comb
 
     for _ in range(6):
         s = random_scheme(rng, max_s=4, max_mult=2)
         top = top_form_hf(s)
         direct = omega_hf(s, s.n + 1)
+        assert top is direct
         degrees = range(1, top.ri + 3)
         presented = [comb(d - 1, s.n) - submodule_slice(s, s.n + 1, d) for d in degrees]
         assert [top.table.value(d) for d in degrees] == presented
         assert [direct.table.value(d) for d in degrees] == presented
         assert top.ri == direct.ri
+
+
+def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
+    """Every absolute and relative table is constant from D* = max(r_W + m,
+    r_{W+1} + m - 1) on, so its scan certifies by D*; r_W and r_{W+1} come
+    from `hf_table`, not from the ideal-jet sweep the cap reads.  A table
+    that never repeats a value is stopped at the cap D* + 1."""
+    import random
+    from itertools import count
+
+    from kahlerdiff import kaehler
+    from kahlerdiff.schemes import StabilizationError, regularity_index
+
+    rng = random.Random(3)
+    for _ in range(40):
+        s = random_scheme(rng)
+        r, r_fat = regularity_index(s), regularity_index(s.fattening())
+        for relative in (False, True):
+            for m in range(1, (s.n if relative else s.n + 1) + 1):
+                o = omega_hf(s, m, relative)
+                d_star = max(r + m, r_fat + m - 1)
+                assert o.ri <= d_star and o.cert_degree <= d_star, (s, m, relative)
+
+    s = simple(2, (1, 5, -7), (1, -3, 2), (1, 4, 4), mults=[2, 1, 3])
+    r, r_fat = regularity_index(s), regularity_index(s.fattening())
+    monkeypatch.setattr(kaehler, "_form_values", lambda *args: count())
+    for m in range(1, s.n + 2):
+        d_star = max(r + m, r_fat + m - 1)
+        with pytest.raises(StabilizationError, match=f"did not stabilize below {d_star + 1}$"):
+            omega_hf(s, m)
 
 
 def test_koszul_identity(rng):
@@ -384,8 +416,8 @@ def test_sweep_matches_dense_presentation():
             for d in range(m, o.cert_degree + 2):
                 dense = submodule_slice(s, m, d, method="dense")
                 assert o.table.value(d) == comb(n + 1, m) * comb(n + d - m, n) - dense
-        # the Jacobian route inserts the rows of Omega^{n+1} up to sign and
-        # order, so it too is held against the literal matrix
+        # the top form through its public name, held against the literal
+        # matrix
         top = top_form_hf(s)
         for d in range(n + 1, top.cert_degree + 2):
             dense = submodule_slice(s, n + 1, d, method="dense")
