@@ -176,15 +176,15 @@ def kernel_standard(
 class Echelon:
     """Incremental row space over Q, kept fraction-free.
 
-    Between batches the rows are primitive integer vectors in reduced
-    echelon form: each has a positive entry at its own pivot and zeros at
-    the pivots of the others.  support[k] lists the nonzero columns of
+    Between batches the rows are primitive integer vectors in echelon form,
+    each with a positive entry at its own pivot and zeros at the pivots of
+    the others, except that a row pivoting before the block boundary
+    `pivot_cols` (by default all columns) is kept zero only at the pivots
+    before it.  So the rows pivoting from `pivot_cols` on are the reduced
+    basis of the vectors of the space that vanish on the leading block, and
+    those before it, cut to that block, are up to scale the reduced basis
+    of its projection there.  support[k] lists the nonzero columns of
     rows[k], the only ones visited when that row is used.
-
-    Pivots are taken among the first `pivot_cols` columns (by default all
-    of them); the other columns are carried along.  A vector whose
-    residual vanishes on the pivot columns is not inserted: its residual
-    on the carried columns, if not zero, is appended to `carried` instead.
 
     Inside `insert_all` the rows are in echelon form but not reduced: a new
     row goes in at its pivot and the rows are cleared at the new pivots
@@ -193,7 +193,7 @@ class Echelon:
     cost, never the reduced form, which is unique for a span.
     """
 
-    __slots__ = ("ncols", "pivot_cols", "rows", "pivots", "support", "carried", "_batch")
+    __slots__ = ("ncols", "pivot_cols", "rows", "pivots", "support", "_batch")
 
     def __init__(self, ncols: int, pivot_cols: int | None = None):
         self.ncols = ncols
@@ -201,7 +201,6 @@ class Echelon:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.support: list[list[int]] = []
-        self.carried: list[list[int]] = []
         # pivots placed by the running `insert_all` and not yet cleared
         self._batch: list[int] | None = None
 
@@ -233,9 +232,6 @@ class Echelon:
         supp = list(compress(range(self.ncols), v))
         if not supp:
             return False
-        if supp[0] >= self.pivot_cols:
-            self.carried.append(v[self.pivot_cols :])
-            return False
         _make_primitive(v, supp)
         lead = supp[0]
         at = bisect_left(self.pivots, lead)
@@ -257,17 +253,10 @@ class Echelon:
         the pass at the end of the batch mostly clears the older rows;
         small rows first keep the entries small.
 
-        With carried columns the order also decides which vectors leave no
-        residual at all, and so how many residuals are carried; there the
-        vectors go in smallest first alone.  Right to left saved no
-        measurable time on the ideal-jet sweep, the one such caller, and
-        would change the rows it carries on.
-
         Each vector goes through `insert`, which places an independent
         residual at its pivot; the rows are cleared at the new pivots once,
         when the batch ends.  The vectors given are not changed."""
-        key = _right_to_left if self.pivot_cols == self.ncols else _bit_length
-        ordered = sorted(vecs, key=key)
+        ordered = sorted(vecs, key=_right_to_left)
         self._batch = new = []
         try:
             for vec in ordered:
@@ -282,12 +271,16 @@ class Echelon:
 
         Only the rows above the rightmost new row can be nonzero at a new
         pivot.  They are cleared bottom up, each at every new pivot right of
-        its own, with the new rows there, which are clean by then; a row
-        that is hit is rescanned and made primitive once."""
+        its own and on its side of the block boundary, with the new rows
+        there, which are clean by then; a row that is hit is rescanned and
+        made primitive once."""
         rows, pivots, support = self.rows, self.pivots, self.support
         fresh = set(new)
+        cut = bisect_left(pivots, self.pivot_cols)
         clean: list[tuple[int, list[int], list[int]]] = []
         for k in range(bisect_left(pivots, max(new)), -1, -1):
+            if k == cut - 1:
+                clean = []
             row = rows[k]
             hits = []
             for q, r, s in clean:
@@ -313,15 +306,11 @@ class Echelon:
                 clean.append((pivots[k], row, support[k]))
 
 
-def _bit_length(v: Sequence[int]) -> int:
-    return sum(map(int.bit_length, map(abs, v)))
-
-
 def _right_to_left(v: Sequence[int]) -> tuple[int, int]:
     """Sort key of `Echelon.insert_all`: leading column, rightmost first,
     then total bit length."""
     n = len(v)
-    return -next(compress(range(n), v), n), _bit_length(v)
+    return -next(compress(range(n), v), n), sum(map(int.bit_length, v))
 
 
 def _make_primitive(row: list[int], supp: Sequence[int]) -> None:

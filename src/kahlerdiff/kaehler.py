@@ -13,14 +13,16 @@ partials of an ideal element F are fixed by its top-order jets, those of
 order m_j at P_j.
 
 One ideal-jet sweep per scheme (`_GeneratorJets`) grows J_delta, the span
-of the top-order jets of (I_W)_delta, degree by degree; linear maps Phi_i
-read the jets of dF/dX_i off them, on the top layer of the scheme, where
-those jets live.  The same sweep yields HF_W and r_W, the only source of
-them on the form path.  One generator, `_form_values`, feeds every table
-(`omega_hf`, `omega_hf_prefix` and the relative variant; `top_form_hf` is
-the cached `omega_hf` at m = n + 1): it inserts the images of the rows new
-in J at degree d - m + 1 into one `Echelon` and shifts nothing, except for
-Omega^1, whose rows are independent and so are counted: its rank is dim J_d.
+of the top-order jets of (I_W)_delta, degree by degree, as the trailing
+block of one `span_sweep` echelon over the fattened scheme; linear maps
+Phi_i read the jets of dF/dX_i off them, on the top layer of the scheme,
+where those jets live.  The same sweep yields HF_W and r_W, the only
+source of them on the form path.  One generator, `_form_values`, feeds
+every table (`omega_hf`, `omega_hf_prefix` and the relative variant;
+`top_form_hf` is the cached `omega_hf` at m = n + 1): it inserts the images
+of the rows new in J at degree d - m + 1 into one `Echelon` and shifts
+nothing, except for Omega^1, whose rows are independent and so are
+counted: its rank is dim J_d.
 The scan stops at a repeated value past r_W + m, which the fattening bound
 places by D* = max(r_W + m, r_{W+1} + m - 1); D* + 1 caps it.
 `schemes.hf_table` keeps its own sweep of W alone, for the callers that
@@ -38,6 +40,7 @@ from {1..n} and the differential loses its X_0 component.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -185,21 +188,22 @@ class _GeneratorJets:
     are read off F's H-jets by Phi_1..Phi_n (dF/dX_i at (j, gamma) is F at
     (j, gamma + e_i)), and Phi_0 = -sum_i p_i Phi_i by the Euler relation.
 
-    One `span_sweep` on W+1, with W's functionals first, grows the jets of
-    S_delta in an echelon that pivots only on W's columns; a shifted row
-    with no W-residual is the jet of an ideal element, and its H-residual
-    lies in J_delta.  X_i acts on the H-jets of ideal elements as the
-    diagonal multiplication by the i-th affine coordinate of the point (the
-    other term of the product rule lands in W, where they vanish), so a
-    second echelon over H grows J_delta from p_i * (its rows new at
-    delta - 1) and those residuals.  new[delta] keeps the reduced rows whose
-    pivots first appeared at delta; they span a complement of J_{delta-1}
-    in J_delta.  The sweep ends at the first degree where neither echelon
-    grows, past which nothing can (this is Buchberger-Moeller in jet form).
-    H (`top`) and L (`layer`) run point by point in the order of the jet
-    system, heaviest point first, which fixes the reduced rows kept.
+    One `span_sweep` on W+1, with W's functionals first and the block
+    boundary `pivot_cols` after them, grows the jets of S_delta in one
+    echelon.  A row pivoting past W's columns vanishes on W, so it is the
+    jet of an ideal element, and these rows are the reduced basis of
+    J_delta; `shift_by_variable` moves such a row by the diagonal action of
+    X_i, the multiplication by the i-th affine coordinate of the point (the
+    other term of the product rule lands in W, where they vanish).
+    new[delta] keeps, cut to H, the rows past the boundary whose pivots
+    first appeared at delta; they span a complement of J_{delta-1} in
+    J_delta.  The sweep ends at the first degree where the echelon does
+    not grow, past which nothing can (this is Buchberger-Moeller in jet
+    form).  H (`top`) and L (`layer`) run point by point in the order of
+    the jet system, heaviest point first, which fixes the reduced rows
+    kept.
 
-    The first echelon's rank at delta is HF_W(delta), and the second's is
+    The rows pivoting on W's columns number HF_W(delta), and the others
     dim J_delta = HF_{W+1}(delta) - HF_W(delta), kept in `jdims`.  HF_W
     grows strictly until it reaches deg W, so the sweep passes r_W before
     it ends, and `hf` holds HF_W as a table: the form tables read HF_W and
@@ -222,33 +226,21 @@ class _GeneratorJets:
         self.bumped = [[hpos[(j, _bump(g, t))] for j, g in layer] for t in range(n)]
         self.scale = lcm(*js.denominators)
         self.layer_coords = [[int(self.scale * js.coords[j][t]) for j, _ in layer] for t in range(n)]
-        # X_i on the top-order jets of ideal elements, scaled like the shifts
-        top_coords = [
-            [int(den * js.coords[j][t]) for j, _ in top]
-            for t, den in enumerate(js.denominators)
-        ]
-        ech = Echelon(fat.dim, pivot_cols=js.dim)
-        jech = Echelon(len(top))
+        D = js.dim
+        ech = Echelon(fat.dim, pivot_cols=D)
         self.new: list[list[list[int]]] = []
         ranks: list[int] = []
         self.jdims: list[int] = []
-        fresh: list[list[int]] = []
-        seen: set[int] = set()
-        for rank in span_sweep(fat, ech):
-            jech.insert_all(
-                [[a * x for a, x in zip(coords, row)] for row in fresh for coords in top_coords]
-                + ech.carried
-            )
-            ech.carried.clear()
-            fresh = [list(row) for row, p in zip(jech.rows, jech.pivots) if p not in seen]
-            seen = set(jech.pivots)
-            self.new.append(fresh)
-            self.jdims.append(jech.rank)
-            if ranks and rank == ranks[-1] and not fresh:
+        for new in span_sweep(fat, ech):
+            k = bisect_left(ech.pivots, D)
+            fresh = set(new)
+            self.new.append([row[D:] for row, p in zip(ech.rows[k:], ech.pivots[k:]) if p in fresh])
+            self.jdims.append(ech.rank - k)
+            if not new:
                 break
-            ranks.append(rank)
-        k = ranks.index(js.dim)
-        self.hf = HFTable(tuple(ranks[: k + 1]), k, js.dim)
+            ranks.append(k)
+        k = ranks.index(D)
+        self.hf = HFTable(tuple(ranks[: k + 1]), k, D)
 
     def new_rows(self, delta: int) -> list[list[int]]:
         return self.new[delta] if 0 <= delta < len(self.new) else []

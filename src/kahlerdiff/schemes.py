@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
+from itertools import product
 from math import comb, lcm, perm
 from typing import Iterable, Iterator, Sequence
 
@@ -322,34 +322,31 @@ def jet_system(scheme: FatPointScheme) -> JetSystem:
     return JetSystem(scheme)
 
 
-def span_sweep(js: JetSystem, ech: Echelon | None = None) -> Iterator[int]:
-    """Yield dim V_d for d = 0, 1, 2, ..., where V_d is the span of the jets
-    of all forms of degree d, grown in `ech` (a new `Echelon` by default)
-    from the jet of 1.
+def span_sweep(js: JetSystem, ech: Echelon) -> Iterator[list[int]]:
+    """Grow in `ech`, for d = 0, 1, 2, ..., the span V_d of the jets of all
+    forms of degree d, from the jet of 1, and yield the pivots new at each
+    degree; `ech.rank` is then dim V_d.
 
     X_0 acts as the identity on jets, so V_d = V_{d-1} + sum_i X_i V_{d-1},
     and since X_i V_{d-2} lies in V_{d-1} only the rows new at degree d-1
-    need shifting: the echelon rows whose pivots first appeared there,
-    copied when that degree ended.  They span a complement of V_{d-2} in
-    V_{d-1}, because a vector of V_{d-2} that vanishes at all of its pivots
-    is zero.  The shifts are scaled to stay integral and go in smallest
-    first.  `hf_table` runs it on the scheme; the ideal-jet sweep of
-    `kaehler` runs it on the fattened scheme, in an echelon that pivots
-    only on the functionals of the scheme and carries the others.
+    need shifting: the echelon rows whose pivots first appeared there.
+    They span a complement of V_{d-2} in V_{d-1}: a nonzero combination of
+    them leads at one of their pivots, and no vector of V_{d-2} does.  The
+    shifts are scaled to stay integral.  `hf_table` runs it on the scheme;
+    the ideal-jet sweep of `kaehler` runs it on the fattened scheme, with
+    the functionals of the scheme first, as the echelon's leading block.
     """
-    ech = Echelon(js.dim) if ech is None else ech
     ech.insert(js.monomial_column((0,) * (js.scheme.n + 1)))
-    fresh: list[list[int]] = []
     seen: set[int] = set()
-    for d in count():
+    while True:
+        fresh = [(p, row) for p, row in zip(ech.pivots, ech.rows) if p not in seen]
+        yield [p for p, _ in fresh]
+        seen.update(p for p, _ in fresh)
         ech.insert_all(
             js.shift_by_variable(row, i, scaled=True)
-            for row in fresh
+            for _, row in fresh
             for i in range(1, js.scheme.n + 1)
         )
-        yield ech.rank
-        fresh = [list(row) for row, p in zip(ech.rows, ech.pivots) if p not in seen]
-        seen = set(ech.pivots)
 
 
 # --- Hilbert function -----------------------------------------------------
@@ -369,10 +366,11 @@ def hf_table(scheme: FatPointScheme) -> HFTable:
     """
     js = jet_system(scheme)
     cap = _scan_cap(scheme)
+    ech = Echelon(js.dim)
     values = []
-    for d, rank in enumerate(span_sweep(js)):
-        values.append(rank)
-        if rank == js.dim:
+    for d, _ in enumerate(span_sweep(js, ech)):
+        values.append(ech.rank)
+        if ech.rank == js.dim:
             return HFTable(tuple(values), d, js.dim)
         if d == cap:
             raise StabilizationError(

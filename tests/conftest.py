@@ -1,9 +1,29 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kahlerdiff.schemes import FatPointScheme, ProjPoint, apply_coordinate_change
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a child interpreter on `args`, with the package source first on
+    its PYTHONPATH (pytest's `pythonpath` setting reaches only this
+    process), capturing its output as text, with a 120 s timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def random_scheme(rng: random.Random, max_n=3, max_s=5, max_mult=3) -> FatPointScheme:

@@ -1,16 +1,15 @@
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-RUN = [sys.executable, "-m", "kahlerdiff"]
+from conftest import run_python
+
 PINNED_HF = Path(__file__).resolve().parent / "data" / "hf_stdout_line_mults_123_p1.json"
 
 
 def run_cli(*args):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True)
+    return run_python("-m", "kahlerdiff", *args)
 
 
 @pytest.fixture

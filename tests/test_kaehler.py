@@ -339,11 +339,38 @@ def test_ideal_jet_sweep_against_the_ideal_slices():
                 assert not any(any(swept.reduce(row)) for row in sliced.rows)
 
 
+def test_ideal_jet_rows_are_reduced():
+    """new[delta] keeps the reduced rows: each row of `new_rows(delta)` is
+    primitive and positive at its pivot, and zero at every other pivot of
+    J_delta, the pivots of new_rows(0..delta).  Integral and non-integral
+    schemes."""
+    import random
+    from math import gcd
+
+    from kahlerdiff.kaehler import _generator_jets
+
+    rng = random.Random(16180)
+    for _ in range(6):
+        base = random_scheme(rng, max_s=4, max_mult=3)
+        for s in (base, off_integers(base)):
+            gj = _generator_jets(s)
+            pivots = []
+            for delta in range(len(gj.new)):
+                rows = gj.new_rows(delta)
+                lead = [next(k for k, x in enumerate(h) if x) for h in rows]
+                pivots += lead
+                assert len(set(pivots)) == len(pivots), (s, delta)
+                for h, p in zip(rows, lead):
+                    assert gcd(*h) == 1 and h[p] > 0, (s, delta)
+                    assert all(h[q] == 0 for q in pivots if q != p), (s, delta)
+
+
 def test_ideal_jet_sweep_counts():
-    """The sweep's echelon pivots only on W's columns, so its ranks are
-    HF_W, and dim J_delta = HF_{W+1}(delta) - HF_W(delta), the identity on
-    which the count of Omega^1 rests, checked through one degree past the
-    sweep's end against the W and W+1 sweeps of `hf_table`.  Integral and
+    """In the sweep's echelon over W+1 the rows pivoting on W's columns
+    number HF_W(delta), and those pivoting past them span J_delta, so
+    dim J_delta = HF_{W+1}(delta) - HF_W(delta), the identity on which the
+    count of Omega^1 rests, checked through one degree past the sweep's
+    end against the W and W+1 sweeps of `hf_table`.  Integral and
     non-integral schemes."""
     import random
 

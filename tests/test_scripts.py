@@ -1,13 +1,8 @@
 """The runnable experiments under scripts/ start and finish cleanly."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
 
 
 @pytest.mark.parametrize(
@@ -18,13 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    res = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    res = run_python(str(ROOT / "scripts" / argv[0]), *argv[1:])
     assert res.returncode == 0, res.stderr
     assert res.stdout
