@@ -3,18 +3,20 @@
 Every dimension count in this package comes down to a row space over Q.
 Scalars are `fractions.Fraction` (exposed as `Rational`); rows are scaled
 to integers by clearing denominators row-wise.  `Echelon` is the one
-kernel: an incremental, fraction-free reduced echelon form that the Hilbert
+kernel: an incremental, fraction-free echelon form that the Hilbert
 tables and the ideal-jet sweep grow degree by degree, that
 `kernel_standard` reads primitive integer kernel bases off, with no
 `Fraction` built, and whose pivot columns pick the minimal generators.
-It grows by batches, each inserted right to left by leading column: the
-reduced form holds between batches, while inside one the rows are in
-echelon form but not reduced, and one back-substitution pass at the end
-of the batch clears them at the new pivots.
+It keeps reduced only the rows from a block boundary on, the only rows a
+caller reads beyond rank and pivots: all of them for `kernel_standard`
+and the form tables, J's past W in the ideal-jet sweep, none for
+`hf_table` and `minimal_generators`.  It grows by batches, each inserted
+right to left by leading column; one back-substitution pass at the end
+of the batch clears the reduced rows at the new pivots.
 Bareiss elimination (`rank_int`, `bareiss_pivots`) ranks a whole integer
-matrix in one pass; it serves the
-one-shot checks (a single-degree `submodule_slice`, general position) and
-is the oracle the tests hold the sweeps against.
+matrix in one pass; it serves the one-shot checks (a single-degree
+`submodule_slice`, general position) and is the oracle the tests hold the
+sweeps against.
 `rref`, in rational arithmetic, is the oracle for `kernel_standard`.
 """
 
@@ -34,14 +36,8 @@ def _clear_row_denominators(row: Sequence[Fraction | int]) -> list[int]:
     which every sweep passes, is only copied."""
     if set(map(type, row)) <= {int}:
         return list(row)
-    lcm = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1:
-        return [int(x) for x in row]
-    return [int(x * lcm) for x in row]
+    L = lcm(*(x.denominator for x in row))
+    return [int(x * L) for x in row]
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -146,16 +142,16 @@ def kernel_standard(
     Basis vector k is positive at free column k and 0 at the other free
     columns; divided by its entry at free column k it is the unique
     standard-form basis vector, so the coordinates of any kernel element can
-    be read off at the free columns.  It is read off the `Echelon` of the
-    rows, whose row at pivot p is a positive multiple of the reduced echelon
-    row at p: with L the lcm of row[p] over the rows with row[free] != 0,
-    v[free] = L and v[p] = -row[free] * (L / row[p]), divided by the content.
+    be read off at the free columns.  It is read off the fully reduced
+    `Echelon` of the rows, whose row at pivot p is a positive multiple of
+    the reduced echelon row at p: with L the lcm of row[p] over the rows
+    with row[free] != 0, v[free] = L and v[p] = -row[free] * (L / row[p]),
+    divided by the content.
     """
     ech = Echelon(ncols)
     ech.insert_all(integer_rows(rows))
     pivot_set = set(ech.pivots)
-    basis = []
-    free_cols = []
+    basis, free_cols = [], []
     for free in range(ncols):
         if free in pivot_set:
             continue
@@ -176,32 +172,29 @@ def kernel_standard(
 class Echelon:
     """Incremental row space over Q, kept fraction-free.
 
-    Between batches the rows are primitive integer vectors in echelon form,
-    each with a positive entry at its own pivot and zeros at the pivots of
-    the others, except that a row pivoting before the block boundary
-    `pivot_cols` (by default all columns) is kept zero only at the pivots
-    before it.  So the rows pivoting from `pivot_cols` on are the reduced
-    basis of the vectors of the space that vanish on the leading block, and
-    those before it, cut to that block, are up to scale the reduced basis
-    of its projection there.  support[k] lists the nonzero columns of
-    rows[k], the only ones visited when that row is used.
+    The rows are primitive integer vectors in echelon form, positive at
+    their pivots; support[k] lists the nonzero columns of rows[k], the only
+    ones visited when that row is used.  Between batches a row pivoting
+    from the block boundary `reduced_from` on (by default every row) is
+    zero at every other pivot: these rows are the reduced basis, which is
+    unique, of the vectors of the space that vanish before the boundary.
+    A row pivoting before it stays as it went in.
 
-    Inside `insert_all` the rows are in echelon form but not reduced: a new
-    row goes in at its pivot and the rows are cleared at the new pivots
-    once, when the batch ends.  A batch goes in by leading column,
-    rightmost first, which keeps the fill-in small; the order changes the
-    cost, never the reduced form, which is unique for a span.
+    Inside `insert_all` a new row goes in at its pivot, and the rows past
+    the boundary are cleared at the new pivots there once, when the batch
+    ends.  A batch goes in by leading column, rightmost first, which keeps
+    the fill-in small; the order changes the cost, never the reduced rows.
     """
 
-    __slots__ = ("ncols", "pivot_cols", "rows", "pivots", "support", "_batch")
+    __slots__ = ("ncols", "reduced_from", "rows", "pivots", "support", "_batch")
 
-    def __init__(self, ncols: int, pivot_cols: int | None = None):
+    def __init__(self, ncols: int, reduced_from: int = 0):
         self.ncols = ncols
-        self.pivot_cols = ncols if pivot_cols is None else pivot_cols
+        self.reduced_from = reduced_from
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.support: list[list[int]] = []
-        # pivots placed by the running `insert_all` and not yet cleared
+        # pivots past the boundary placed by the running `insert_all`
         self._batch: list[int] | None = None
 
     @property
@@ -238,10 +231,11 @@ class Echelon:
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)
         self.support.insert(at, supp)
-        if self._batch is None:
-            self._back_substitute([lead])
-        else:
-            self._batch.append(lead)
+        if lead >= self.reduced_from:
+            if self._batch is None:
+                self._back_substitute([lead])
+            else:
+                self._batch.append(lead)
         return True
 
     def insert_all(self, vecs: Iterable[Sequence[int]]) -> None:
@@ -254,8 +248,9 @@ class Echelon:
         small rows first keep the entries small.
 
         Each vector goes through `insert`, which places an independent
-        residual at its pivot; the rows are cleared at the new pivots once,
-        when the batch ends.  The vectors given are not changed."""
+        residual at its pivot; the rows past the boundary are cleared at the
+        new pivots there once, when the batch ends.  The vectors given are
+        not changed."""
         ordered = sorted(vecs, key=_right_to_left)
         self._batch = new = []
         try:
@@ -267,20 +262,18 @@ class Echelon:
                 self._back_substitute(new)
 
     def _back_substitute(self, new: list[int]) -> None:
-        """Restore the reduced form after rows with pivots `new` went in.
+        """Restore the reduced form past the boundary after rows with pivots
+        `new`, all past it, went in.
 
-        Only the rows above the rightmost new row can be nonzero at a new
-        pivot.  They are cleared bottom up, each at every new pivot right of
-        its own and on its side of the block boundary, with the new rows
-        there, which are clean by then; a row that is hit is rescanned and
-        made primitive once."""
+        Only the rows from the boundary up to the rightmost new row can be
+        nonzero at a new pivot.  They are cleared bottom up, each at every
+        new pivot right of its own, with the new rows there, which are clean
+        by then; a row that is hit is rescanned and made primitive once."""
         rows, pivots, support = self.rows, self.pivots, self.support
         fresh = set(new)
-        cut = bisect_left(pivots, self.pivot_cols)
+        cut = bisect_left(pivots, self.reduced_from)
         clean: list[tuple[int, list[int], list[int]]] = []
-        for k in range(bisect_left(pivots, max(new)), -1, -1):
-            if k == cut - 1:
-                clean = []
+        for k in range(bisect_left(pivots, max(new)), cut - 1, -1):
             row = rows[k]
             hits = []
             for q, r, s in clean:

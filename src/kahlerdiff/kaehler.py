@@ -188,13 +188,13 @@ class _GeneratorJets:
     are read off F's H-jets by Phi_1..Phi_n (dF/dX_i at (j, gamma) is F at
     (j, gamma + e_i)), and Phi_0 = -sum_i p_i Phi_i by the Euler relation.
 
-    One `span_sweep` on W+1, with W's functionals first and the block
-    boundary `pivot_cols` after them, grows the jets of S_delta in one
-    echelon.  A row pivoting past W's columns vanishes on W, so it is the
-    jet of an ideal element, and these rows are the reduced basis of
-    J_delta; `shift_by_variable` moves such a row by the diagonal action of
-    X_i, the multiplication by the i-th affine coordinate of the point (the
-    other term of the product rule lands in W, where they vanish).
+    One `span_sweep` on W+1, W's functionals first, grows the jets of
+    S_delta in one echelon, reduced from deg W on.  A row pivoting past W's
+    columns vanishes on W, so it is the jet of an ideal element; these rows
+    are the reduced basis of J_delta, whatever the rows on W's columns,
+    which give only their pivots.  `shift_by_variable` moves a J row by the
+    diagonal action of X_i, the multiplication by the i-th affine coordinate
+    of the point (its lowering terms read W, where it vanishes).
     new[delta] keeps, cut to H, the rows past the boundary whose pivots
     first appeared at delta; they span a complement of J_{delta-1} in
     J_delta.  The sweep ends at the first degree where the echelon does
@@ -227,7 +227,7 @@ class _GeneratorJets:
         self.scale = lcm(*js.denominators)
         self.layer_coords = [[int(self.scale * js.coords[j][t]) for j, _ in layer] for t in range(n)]
         D = js.dim
-        ech = Echelon(fat.dim, pivot_cols=D)
+        ech = Echelon(fat.dim, reduced_from=D)
         self.new: list[list[list[int]]] = []
         ranks: list[int] = []
         self.jdims: list[int] = []

@@ -246,17 +246,18 @@ class JetSystem:
         self.pos = {key: k for k, key in enumerate(self.index)}
         assert self.dim == scheme.degree()
         # X_i as a sparse map on jet vectors, scaled by the common denominator
-        # of the i-th coordinates: (den * p_i, den * gamma_i, position of
-        # gamma - e_i) for each functional
+        # of the i-th coordinates: den * p_i on the diagonal, and lowerings
+        # (k, den * gamma_i, position of gamma - e_i) where gamma_i > 0
         self.denominators = [
             lcm(*(a[t].denominator for a in self.coords)) for t in range(scheme.n)
         ]
-        self._steps = [
-            [
-                (int(den * self.coords[j][t]), den * gamma[t],
-                 self.pos[(j, _bump(gamma, t, -1))] if gamma[t] else k)
-                for k, (j, gamma) in enumerate(self.index)
-            ]
+        self._diagonal = [
+            [int(den * self.coords[j][t]) for j, _ in self.index]
+            for t, den in enumerate(self.denominators)
+        ]
+        self._lowering = [
+            [(k, den * gamma[t], self.pos[(j, _bump(gamma, t, -1))])
+             for k, (j, gamma) in enumerate(self.index) if gamma[t]]
             for t, den in enumerate(self.denominators)
         ]
 
@@ -310,7 +311,10 @@ class JetSystem:
         """
         if i == 0:
             return list(vec)
-        out = [a * vec[k] + g * vec[low] for k, (a, g, low) in enumerate(self._steps[i - 1])]
+        out = [a * x for a, x in zip(self._diagonal[i - 1], vec)]
+        for k, g, low in self._lowering[i - 1]:
+            if vec[low]:
+                out[k] += g * vec[low]
         den = self.denominators[i - 1]
         if scaled or den == 1:
             return out
@@ -331,10 +335,11 @@ def span_sweep(js: JetSystem, ech: Echelon) -> Iterator[list[int]]:
     and since X_i V_{d-2} lies in V_{d-1} only the rows new at degree d-1
     need shifting: the echelon rows whose pivots first appeared there.
     They span a complement of V_{d-2} in V_{d-1}: a nonzero combination of
-    them leads at one of their pivots, and no vector of V_{d-2} does.  The
-    shifts are scaled to stay integral.  `hf_table` runs it on the scheme;
-    the ideal-jet sweep of `kaehler` runs it on the fattened scheme, with
-    the functionals of the scheme first, as the echelon's leading block.
+    them leads at one of their pivots, and no vector of V_{d-2} does; this
+    needs echelon form only.  The shifts are scaled to stay integral.
+    `hf_table` runs it on the scheme, with no reduced block; the ideal-jet
+    sweep of `kaehler` runs it on the fattened scheme, with the functionals
+    of the scheme first and the echelon reduced past them.
     """
     ech.insert(js.monomial_column((0,) * (js.scheme.n + 1)))
     seen: set[int] = set()
@@ -360,13 +365,14 @@ def hf_table(scheme: FatPointScheme) -> HFTable:
     """Hilbert function of R_W, computed in one degree-by-degree sweep.
 
     HF_W(d) is the dimension of the span of the jets of all forms of
-    degree d, which `span_sweep` grows from the jet of 1 at degree 0.  The
+    degree d, which `span_sweep` grows from the jet of 1 at degree 0, in
+    an echelon that is never reduced, since only its rank is read.  The
     sweep stops at the first degree where that span fills all deg(W) jet
     coordinates, which is exactly the regularity index.
     """
     js = jet_system(scheme)
     cap = _scan_cap(scheme)
-    ech = Echelon(js.dim)
+    ech = Echelon(js.dim, reduced_from=js.dim)
     values = []
     for d, _ in enumerate(span_sweep(js, ech)):
         values.append(ech.rank)
@@ -439,10 +445,10 @@ def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...
     Degrees up to r_W + 1 suffice to generate the whole ideal.  Per degree
     the variable multiples of the previous slice are expressed in the
     coordinates read off at the free columns of the slice basis and
-    inserted into an `Echelon`; the basis vectors at its non-pivot columns
-    extend them to the full slice and are the new generators.  The pivot
-    columns of a row space depend neither on the order nor on the scaling
-    of its rows.
+    inserted into an `Echelon`, never reduced; the basis vectors at its
+    non-pivot columns extend them to the full slice and are the new
+    generators.  The pivot columns of a row space depend neither on the
+    order nor on the scaling of its rows.
     """
     n = scheme.n
     r = regularity_index(scheme)
@@ -462,7 +468,7 @@ def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...
              for mono in (monos[f] for f in free_cols)]
             for i in range(n + 1)
         ]
-        ech = Echelon(len(free_cols))
+        ech = Echelon(len(free_cols), reduced_from=len(free_cols))
         for v, lookup in product(prev, lookups):
             if ech.rank == len(free_cols):
                 break

@@ -204,18 +204,18 @@ def batched_matrices(draw, max_dim=7):
     return mat, batches, draw(st.integers(min_value=0, max_value=ncols))
 
 
-def _assert_reduced(ech):
-    """Primitive rows with positive pivots in echelon form, each with its
-    exact support and zero at the pivots of the others, except that a row
-    pivoting before the block boundary may be nonzero at a pivot past it."""
+def _assert_form(ech):
+    """Primitive rows, positive at their pivots, in echelon form, each with
+    its exact support; the rows pivoting from the block boundary on are
+    zero at every other pivot."""
     assert ech.pivots == sorted(set(ech.pivots))
-    cut = ech.pivot_cols
     for row, p, supp in zip(ech.rows, ech.pivots, ech.support):
         assert supp == [j for j, x in enumerate(row) if x]
         assert supp[0] == p
         assert row[p] > 0
         assert gcd(*row) == 1
-        assert all(row[q] == 0 for q in ech.pivots if q != p and not p < cut <= q)
+        if p >= ech.reduced_from:
+            assert all(row[q] == 0 for q in ech.pivots if q != p)
 
 
 def _span(vectors, ncols):
@@ -225,35 +225,36 @@ def _span(vectors, ncols):
     return ech.rows
 
 
-def _primitive(v):
-    g = gcd(*v)
-    return [x // g for x in v]
-
-
 @given(batched_matrices())
 @settings(deadline=None, max_examples=300)
 def test_insert_all_matches_sequential_insert(case):
-    mat, batches, pivot_cols = case
+    """Batches against one-at-a-time `insert`, with the block boundary at 0
+    (fully reduced), at a drawn column and at `ncols` (no reduced block).
+    The rows from the boundary on are the reduced basis of the vectors of
+    the span that vanish before it, which is unique, so they and the pivots
+    match; the rows before it depend on the order and are never touched
+    once their batch has gone in."""
+    mat, batches, boundary = case
     ncols = len(mat[0])
-    for cols in (None, pivot_cols):
-        one = Echelon(ncols, cols)
+    for reduced_from in (0, boundary, ncols):
+        one = Echelon(ncols, reduced_from)
         for row in mat:
             one.insert(row)
-        batched = Echelon(ncols, cols)
+        batched = Echelon(ncols, reduced_from)
+        kept: dict[int, list[int]] = {}
         for batch in batches:
             given = [list(row) for row in batch]
             batched.insert_all(given)
             assert given == batch
-            _assert_reduced(batched)
-        _assert_reduced(one)
-        # The rows from the block boundary on are the reduced basis of the
-        # vectors of the span that vanish before it, which is unique; the
-        # rows before it are unique only on the leading block, up to scale.
+            _assert_form(batched)
+            for p, row in kept.items():
+                assert batched.rows[batched.pivots.index(p)] == row
+            kept = {
+                p: list(row) for p, row in zip(batched.pivots, batched.rows)
+                if p < reduced_from
+            }
+        _assert_form(one)
         assert batched.pivots == one.pivots
-        cut = one.pivot_cols
-        k = bisect_left(one.pivots, cut)
-        assert batched.rows[k:] == one.rows[k:]
-        assert [_primitive(r[:cut]) for r in batched.rows[:k]] == [
-            _primitive(r[:cut]) for r in one.rows[:k]
-        ]
+        k = bisect_left(one.pivots, reduced_from)
+        assert batched.rows[k:] == one.rows[k:]  # all rows at boundary 0
         assert _span(batched.rows, ncols) == _span(mat, ncols)

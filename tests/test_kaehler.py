@@ -365,6 +365,42 @@ def test_ideal_jet_rows_are_reduced():
                     assert all(h[q] == 0 for q in pivots if q != p), (s, delta)
 
 
+def test_ideal_jet_sweep_ignores_the_form_of_its_leading_block(monkeypatch):
+    """The sweep keeps its rows on W's columns in plain echelon form.  The
+    J basis past them is unique, so `new`, `jdims` and `hf` of
+    `_generator_jets` equal those of the same sweep on a fully reduced
+    echelon, whose leading rows do differ.  Integral and non-integral
+    schemes."""
+    import random
+
+    from kahlerdiff import kaehler
+    from kahlerdiff.exactla import Echelon
+
+    def sweep(s, full):
+        made = []
+
+        def echelon(ncols, reduced_from=0):
+            made.append(Echelon(ncols, 0 if full else reduced_from))
+            return made[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(kaehler, "Echelon", echelon)
+            return kaehler._GeneratorJets(s), made[0]
+
+    rng = random.Random(31415)
+    differ = 0
+    for _ in range(6):
+        base = random_scheme(rng, max_s=4, max_mult=3)
+        for s in (base, off_integers(base)):
+            gj, ech = sweep(s, full=False)
+            full, reduced = sweep(s, full=True)
+            assert gj.new == kaehler._generator_jets(s).new, s
+            assert full.new == gj.new and full.jdims == gj.jdims, s
+            assert full.hf == gj.hf, s
+            differ += reduced.rows != ech.rows
+    assert differ
+
+
 def test_ideal_jet_sweep_counts():
     """In the sweep's echelon over W+1 the rows pivoting on W's columns
     number HF_W(delta), and those pivoting past them span J_delta, so
