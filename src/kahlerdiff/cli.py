@@ -44,20 +44,6 @@ def _load_scheme(path: str) -> FatPointScheme:
     return scheme_from_json_dict(doc)
 
 
-def _table_jobs(scheme: FatPointScheme, ms: list[int], relative: bool):
-    jobs = []
-    if not ms:
-        jobs.append(("scheme", 0, False))
-        top = scheme.n if relative else scheme.n + 1
-        ms = list(range(1, top + 1))
-    for m in ms:
-        if m == 0:
-            jobs.append(("scheme", 0, False))
-        else:
-            jobs.append(("omega", m, relative))
-    return jobs
-
-
 @dataclass(frozen=True)
 class _Table:
     """One table of `hf` output.  stable_from and hp are None for a
@@ -70,18 +56,25 @@ class _Table:
     cert_degree: int | None = None
 
 
-def _compute_table(scheme: FatPointScheme, job, max_degree) -> _Table:
-    kind, m, relative = job
-    name = "HF_W" if kind == "scheme" else f"Omega^{m}" + ("_rel" if relative else "")
-    if kind == "scheme":
-        table = hf_table(scheme)
-        if max_degree is not None:
-            return _Table(name, tuple(table.prefix(max_degree + 1)))
-        return _Table(name, table.values, table.stable_from, table.hp)
-    if max_degree is not None:
-        return _Table(name, tuple(omega_hf_prefix(scheme, m, max_degree, relative)))
-    o = omega_hf(scheme, m, relative)
-    return _Table(name, o.table.values, o.table.stable_from, o.table.hp, o.cert_degree)
+def _tables(scheme: FatPointScheme, ms: list[int], relative: bool, max_degree) -> list[_Table]:
+    """The tables of `hf`: HF_W for m = 0 and Omega^m otherwise, by default
+    HF_W and every form module."""
+    if not ms:
+        ms = range((scheme.n if relative else scheme.n + 1) + 1)
+    tables = []
+    for m in ms:
+        name = "HF_W" if m == 0 else f"Omega^{m}" + ("_rel" if relative else "")
+        if max_degree is not None and m == 0:
+            tables.append(_Table(name, tuple(hf_table(scheme).prefix(max_degree + 1))))
+        elif max_degree is not None:
+            tables.append(_Table(name, tuple(omega_hf_prefix(scheme, m, max_degree, relative))))
+        elif m == 0:
+            t = hf_table(scheme)
+            tables.append(_Table(name, t.values, t.stable_from, t.hp))
+        else:
+            o = omega_hf(scheme, m, relative)
+            tables.append(_Table(name, o.table.values, o.table.stable_from, o.table.hp, o.cert_degree))
+    return tables
 
 
 def _emit_tables(entries: list[_Table], fmt: str) -> str:
@@ -119,9 +112,7 @@ def cmd_hf(args) -> int:
     if args.max_degree is not None and args.max_degree < 0:
         raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
     scheme = _load_scheme(args.scheme)
-    jobs = _table_jobs(scheme, args.m, args.relative)
-    entries = [_compute_table(scheme, j, args.max_degree) for j in jobs]
-    print(_emit_tables(entries, args.format))
+    print(_emit_tables(_tables(scheme, args.m, args.relative, args.max_degree), args.format))
     return EXIT_OK
 
 

@@ -1,12 +1,12 @@
 """Exact rational linear algebra: one elimination kernel and its oracles.
 
 Every dimension count in this package comes down to a row space over Q.
-Scalars are `fractions.Fraction` (exposed as `Rational`); rows are scaled
-to integers by clearing denominators row-wise.  `Echelon` is the one
-kernel: an incremental, fraction-free echelon form that the Hilbert
-tables and the ideal-jet sweep grow degree by degree, that
-`kernel_standard` reads primitive integer kernel bases off, with no
-`Fraction` built, and whose pivot columns pick the minimal generators.
+Scalars are `fractions.Fraction`; rows are scaled to integers by clearing
+denominators row-wise.  `Echelon` is the one kernel: an incremental,
+fraction-free echelon form that the Hilbert tables and the ideal-jet
+sweep grow degree by degree, that `kernel_standard` reads primitive
+integer kernel bases off, with no `Fraction` built, and whose pivot
+columns pick the minimal generators.
 It keeps reduced only the rows from a block boundary on, the only rows a
 caller reads beyond rank and pivots: all of them for `kernel_standard`
 and the form tables, J's past W in the ideal-jet sweep, none for
@@ -27,8 +27,6 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 def _clear_row_denominators(row: Sequence[Fraction | int]) -> list[int]:

@@ -44,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, islice
+from itertools import combinations, count, islice, product
 from math import comb, lcm
 from typing import Iterator, Sequence
 
@@ -193,8 +193,8 @@ class _GeneratorJets:
     columns vanishes on W, so it is the jet of an ideal element; these rows
     are the reduced basis of J_delta, whatever the rows on W's columns,
     which give only their pivots.  `shift_by_variable` moves a J row by the
-    diagonal action of X_i, the multiplication by the i-th affine coordinate
-    of the point (its lowering terms read W, where it vanishes).
+    diagonal action of X_i, the multiplication by den_i times the i-th affine
+    coordinate of the point (its lowering terms read W, where it vanishes).
     new[delta] keeps, cut to H, the rows past the boundary whose pivots
     first appeared at delta; they span a complement of J_{delta-1} in
     J_delta.  The sweep ends at the first degree where the echelon does
@@ -278,7 +278,7 @@ class _GeneratorJets:
         cache: dict[tuple[int, Exponents], Fraction | int] = {}
         for j, gamma in self.js.index:
             total = 0
-            for gp in _sub_multiindices(gamma, alpha[1:]):
+            for gp in product(*(range(min(g, a) + 1) for g, a in zip(gamma, alpha[1:]))):
                 key = (j, gp)
                 mono_val = cache.get(key)
                 if mono_val is None:
@@ -295,15 +295,6 @@ class _GeneratorJets:
         return out
 
 
-def _sub_multiindices(gamma: Exponents, bound: Exponents):
-    """All gamma' <= gamma componentwise with gamma' <= bound componentwise."""
-    ranges = [range(min(g, b) + 1) for g, b in zip(gamma, bound)]
-    out = [()]
-    for r in ranges:
-        out = [p + (v,) for p in out for v in r]
-    return [tuple(p) for p in out]
-
-
 @lru_cache(maxsize=None)
 def _generator_jets(scheme: FatPointScheme) -> _GeneratorJets:
     return _GeneratorJets(scheme)
@@ -314,25 +305,15 @@ def _polynomial_partial_jets(
 ) -> list[tuple[int, list[list[Fraction | int]]]]:
     """(deg G, [jets of dG/dX_0, ..., dG/dX_n]) for each minimal generator
     G: the polynomial route of the per-degree oracle, which shares no ideal
-    data with the sweep.  The jets of the affine partials are higher-order
-    jets of G on the fattened scheme, from one `poly_jets` call per
-    generator degree; the X_0 partial follows from the Euler relation
-    X_0 dG/dX_0 = deg(G) G - sum_i X_i dG/dX_i, whose G term has vanishing
-    jets.  Built on demand and never cached."""
+    data with the sweep.  The partials are taken by polynomial calculus and
+    their jets on the scheme come from one `poly_jets` call per generator.
+    Built on demand and never cached."""
     js = jet_system(scheme)
-    js_fat = jet_system(scheme.fattening())
-    out = []
-    for delta, batch in sorted(minimal_generators(scheme).items()):
-        for fat in js_fat.poly_jets(batch):
-            parts = [
-                [fat[js_fat.pos[(j, _bump(gamma, i))]] for j, gamma in js.index]
-                for i in range(scheme.n)
-            ]
-            x0_part = [0] * js.dim
-            for i, part in enumerate(parts, start=1):
-                x0_part = [a - b for a, b in zip(x0_part, js.shift_by_variable(part, i))]
-            out.append((delta, [x0_part, *parts]))
-    return out
+    return [
+        (delta, js.poly_jets([g.partial(i) for i in range(scheme.n + 1)]))
+        for delta, batch in sorted(minimal_generators(scheme).items())
+        for g in batch
+    ]
 
 
 # --- submodule slices ------------------------------------------------------

@@ -288,26 +288,21 @@ class JetSystem:
             for beta, c in f.terms.items():
                 col = columns.get(beta)
                 if col is None:
-                    col = columns[beta] = [
-                        self.value(j, gamma, beta) for j, gamma in self.index
-                    ]
+                    col = columns[beta] = self.monomial_column(beta)
                 if c.denominator == 1:
                     c = c.numerator
                 vec = [a + c * x for a, x in zip(vec, col)]
             out.append(vec)
         return out
 
-    def shift_by_variable(
-        self, vec: Sequence[Fraction | int], i: int, scaled: bool = False
-    ) -> list[Fraction | int]:
-        """Jet vector of X_i * H from the jet vector of H (a sparse linear map).
+    def shift_by_variable(self, vec: Sequence[Fraction | int], i: int) -> list[Fraction | int]:
+        """den_i times the jet vector of X_i * H, from the jet vector of H (a
+        sparse linear map), with den_i = `denominators[i - 1]` the common
+        denominator of the i-th coordinates of the points, so that an
+        integer vector stays integral; the sweeps need only spans.
 
         For the affine variables, d^gamma(X_i H) = p_i d^gamma H +
         gamma_i d^(gamma - e_i) H at the point; X_0 acts as the identity.
-        With `scaled` the result is multiplied by `denominators[i - 1]`, the
-        common denominator of the i-th coordinates of the points, so that an
-        integer vector stays integral; the sweeps, which need only spans,
-        shift that way.
         """
         if i == 0:
             return list(vec)
@@ -315,10 +310,7 @@ class JetSystem:
         for k, g, low in self._lowering[i - 1]:
             if vec[low]:
                 out[k] += g * vec[low]
-        den = self.denominators[i - 1]
-        if scaled or den == 1:
-            return out
-        return [Fraction(x, den) for x in out]
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +328,9 @@ def span_sweep(js: JetSystem, ech: Echelon) -> Iterator[list[int]]:
     need shifting: the echelon rows whose pivots first appeared there.
     They span a complement of V_{d-2} in V_{d-1}: a nonzero combination of
     them leads at one of their pivots, and no vector of V_{d-2} does; this
-    needs echelon form only.  The shifts are scaled to stay integral.
+    needs echelon form only.  Each shift is scaled by the common
+    denominator of its coordinates, which keeps integer rows integral and
+    changes no span.
     `hf_table` runs it on the scheme, with no reduced block; the ideal-jet
     sweep of `kaehler` runs it on the fattened scheme, with the functionals
     of the scheme first and the echelon reduced past them.
@@ -348,7 +342,7 @@ def span_sweep(js: JetSystem, ech: Echelon) -> Iterator[list[int]]:
         yield [p for p, _ in fresh]
         seen.update(p for p, _ in fresh)
         ech.insert_all(
-            js.shift_by_variable(row, i, scaled=True)
+            js.shift_by_variable(row, i)
             for _, row in fresh
             for i in range(1, js.scheme.n + 1)
         )

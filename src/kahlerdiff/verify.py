@@ -9,9 +9,10 @@ both run these.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable
+from math import comb
+from typing import Callable
 
 from .formulas import (
     ConicSchemeSpec,
@@ -25,7 +26,7 @@ from .formulas import (
     p1_ri,
     ri_bounds,
 )
-from .kaehler import koszul_check, omega_hf, top_form_hf
+from .kaehler import koszul_check, omega_hf, submodule_slice, top_form_hf
 from .polyring import parse_poly
 from .schemes import (
     FatPointScheme,
@@ -60,42 +61,43 @@ def load_scheme(label: str) -> tuple[dict, FatPointScheme]:
     return doc, scheme_from_json_dict(doc)
 
 
-def _check_omega_tables(
-    out: list[CheckResult], label: str, scheme: FatPointScheme, expected: dict,
-    relative: bool = False,
-) -> None:
-    for m_str, exp in expected.items():
-        m = int(m_str)
-        o = omega_hf(scheme, m, relative=relative)
-        tag = f"{label}: omega^{m}{'(relative)' if relative else ''}"
-        out.append(
-            CheckResult.compare(f"{tag} table", exp["values"], o.table.prefix(len(exp["values"])))
-        )
-        out.append(CheckResult.compare(f"{tag} ri", exp["ri"], o.ri))
+def _check_tables(out: list[CheckResult], label: str) -> tuple[dict, FatPointScheme]:
+    """The golden HF_W and Omega^m tables of a shipped configuration, then
+    its relative ones if it has any; returns its document and scheme."""
+    doc, scheme = load_scheme(label)
+    exp = doc["expected"]
+    out.append(
+        CheckResult.compare(f"{label}: HF", exp["hf"], hf_table(scheme).prefix(len(exp["hf"])))
+    )
+    for relative, key in ((False, "omega"), (True, "omega_relative")):
+        for m_str, e in exp.get(key, {}).items():
+            m = int(m_str)
+            o = omega_hf(scheme, m, relative=relative)
+            tag = f"{label}: omega^{m}{'(relative)' if relative else ''}"
+            out.append(
+                CheckResult.compare(f"{tag} table", e["values"], o.table.prefix(len(e["values"])))
+            )
+            out.append(CheckResult.compare(f"{tag} ri", e["ri"], o.ri))
+    return doc, scheme
 
 
 def _check_four_points(out: list[CheckResult]) -> None:
-    doc, scheme = load_scheme("four_points_p3")
-    exp = doc["expected"]
-    out.append(
-        CheckResult.compare(
-            "four_points_p3: HF", exp["hf"], hf_table(scheme).prefix(len(exp["hf"]))
-        )
-    )
-    _check_omega_tables(out, "four_points_p3", scheme, exp["omega"])
+    doc, scheme = _check_tables(out, "four_points_p3")
+    n = scheme.n
     top = top_form_hf(scheme)
-    o4 = omega_hf(scheme, 4)
+    # (Omega^{n+1}_S)_d has dimension comb(d - 1, n)
+    degrees = range(1, top.ri + 1)
     out.append(
         CheckResult.compare(
             "four_points_p3: top-form path agrees",
-            [o4.table.value(i) for i in range(10)],
-            [top.table.value(i) for i in range(10)],
+            [comb(d - 1, n) - submodule_slice(scheme, n + 1, d) for d in degrees],
+            [top.table.value(d) for d in degrees],
         )
     )
     out.append(
         CheckResult.compare(
             "four_points_p3: bound chain attained",
-            exp["ri_bounds"],
+            doc["expected"]["ri_bounds"],
             [ri_bounds(scheme, m) for m in range(1, 5)],
         )
     )
@@ -109,18 +111,9 @@ def _check_four_points(out: list[CheckResult]) -> None:
 
 
 def _check_line(out: list[CheckResult]) -> None:
-    doc, scheme = load_scheme("line_mults_123_p1")
+    doc, scheme = _check_tables(out, "line_mults_123_p1")
     exp = doc["expected"]
     spec = P1SchemeSpec([p.coords[1] for p in scheme.points], scheme.mults)
-    out.append(
-        CheckResult.compare(
-            "line_mults_123_p1: HF", exp["hf"], hf_table(scheme).prefix(len(exp["hf"]))
-        )
-    )
-    _check_omega_tables(out, "line_mults_123_p1", scheme, exp["omega"])
-    _check_omega_tables(
-        out, "line_mults_123_p1", scheme, exp["omega_relative"], relative=True
-    )
     for m_str, e in exp["omega"].items():
         m = int(m_str)
         ft = p1_hf(spec, m)
@@ -147,27 +140,12 @@ def _check_line(out: list[CheckResult]) -> None:
 
 def _check_six_point_pair(out: list[CheckResult]) -> None:
     for label in ("six_on_conic_p2", "six_on_two_lines_p2"):
-        doc, scheme = load_scheme(label)
-        exp = doc["expected"]
-        out.append(
-            CheckResult.compare(
-                f"{label}: HF", exp["hf"], hf_table(scheme).prefix(len(exp["hf"]))
-            )
-        )
-        _check_omega_tables(out, label, scheme, exp["omega"])
+        _check_tables(out, label)
 
 
 def _check_nine_ten(out: list[CheckResult]) -> None:
-    for label in ("nine_points_p2", "ten_points_p2"):
-        doc, scheme = load_scheme(label)
-        exp = doc["expected"]
-        out.append(
-            CheckResult.compare(
-                f"{label}: HF", exp["hf"], hf_table(scheme).prefix(len(exp["hf"]))
-            )
-        )
-        _check_omega_tables(out, label, scheme, exp["omega"])
-    doc, scheme = load_scheme("nine_points_p2")
+    _, scheme = _check_tables(out, "nine_points_p2")
+    _check_tables(out, "ten_points_p2")
     t1 = omega_hf(scheme, 1).table
     out.append(
         CheckResult.compare(

@@ -266,3 +266,30 @@ def test_verification_suites_all_pass():
     results = run_suite("slow")  # core and conic, then hyperplane7_p5 and the twisted cubic
     failures = [r.name for r in results if not r.passed]
     assert not failures, failures
+
+
+def test_top_form_check_holds_the_table_against_the_presentation(monkeypatch):
+    """"four_points_p3: top-form path agrees" compares `top_form_hf` with the
+    per-degree presentation, not with `omega_hf`: one Omega^4 table, wrong
+    below its ri and served to both, fails it."""
+    from dataclasses import replace
+
+    from kahlerdiff import verify
+    from kahlerdiff.schemes import HFTable
+
+    _, scheme = load_scheme("four_points_p3")
+    real = omega_hf(scheme, 4)
+    values = list(real.table.values)
+    values[real.ri - 2] += 1
+    wrong = replace(real, table=HFTable.from_values(values))
+    assert wrong.ri == real.ri and wrong.table != real.table
+
+    def skewed(s, m, relative=False):
+        return wrong if (s, m, relative) == (scheme, 4, False) else omega_hf(s, m, relative)
+
+    monkeypatch.setattr(verify, "omega_hf", skewed)
+    monkeypatch.setattr(verify, "top_form_hf", lambda s: skewed(s, s.n + 1))
+    out = []
+    verify._check_four_points(out)
+    [check] = [r for r in out if r.name == "four_points_p3: top-form path agrees"]
+    assert not check.passed

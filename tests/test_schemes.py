@@ -193,11 +193,11 @@ def test_hf_table_matches_literal_jet_matrix():
 
 def test_jet_evaluator_against_independent_routes():
     """One evaluator, three routes: shifting the column of X^beta by X_i
-    gives the column of X_i X^beta, `poly_jets` agrees with the partial
+    gives the column of X_i X^beta times den_i, the common denominator of
+    the i-th coordinates (1 for X_0), `poly_jets` agrees with the partial
     derivatives of `HomogPoly` evaluated at the points, and on integral
-    schemes every jet of an integer polynomial is an int.  The scaled shift
-    is the shift times the common denominator of the coordinates, and it
-    keeps integer vectors integral on every scheme."""
+    schemes every jet of an integer polynomial is an int.  The shift keeps
+    integer vectors integral on every scheme."""
     rng = random.Random(31415)
     for _ in range(8):
         base = random_scheme(rng, max_s=3)
@@ -215,13 +215,11 @@ def test_jet_evaluator_against_independent_routes():
                     shifts = [js.shift_by_variable(col, i) for i in range(n + 1)]
                     for i, shifted in enumerate(shifts):
                         up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                        assert shifted == js.monomial_column(up)
+                        den = js.denominators[i - 1] if i else 1
+                        assert shifted == [den * v for v in js.monomial_column(up)]
                     for i in range(1, n + 1):
-                        den = js.denominators[i - 1]
-                        scaled = js.shift_by_variable(col, i, scaled=True)
-                        assert scaled == [den * v for v in shifts[i]]
                         ints = [rng.randint(-9, 9) for _ in col]
-                        assert all(type(v) is int for v in js.shift_by_variable(ints, i, scaled=True))
+                        assert all(type(v) is int for v in js.shift_by_variable(ints, i))
                     if integral:
                         entries = col + [v for vec in shifts for v in vec]
                         assert all(type(v) is int for v in entries)
