@@ -16,7 +16,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .exactla import integer_rows, rank_int
-from .kaehler import omega_hf, top_form_hf
+from .kaehler import _check_form_degree, omega_hf, top_form_hf
 from .polyring import HomogPoly
 from .schemes import (
     FatPointScheme,
@@ -136,8 +136,7 @@ def hp_bounds(scheme: FatPointScheme, m: int) -> tuple[int, int]:
     and of its once-thinned subscheme.
     """
     n = scheme.n
-    if not 1 <= m <= n + 1:
-        raise ValueError(f"form degree m={m} out of range")
+    _check_form_degree(scheme, m, False)
     if scheme.reduced:
         exact = scheme.degree() if m == 1 else 0
         return exact, exact
@@ -150,8 +149,7 @@ def hp_bounds(scheme: FatPointScheme, m: int) -> tuple[int, int]:
 def hp_exact_cases(scheme: FatPointScheme, m: int) -> Optional[int]:
     """Exact Hilbert polynomial of Omega^m in the closed-form cases."""
     n = scheme.n
-    if not 1 <= m <= n + 1:
-        raise ValueError(f"form degree m={m} out of range")
+    _check_form_degree(scheme, m, False)
     if scheme.reduced:
         return scheme.degree() if m == 1 else 0
     if m == 1:
@@ -188,8 +186,7 @@ def ri_bounds(scheme: FatPointScheme, m: int) -> int:
     numeric general-position bound when the support qualifies.
     """
     n = scheme.n
-    if not 1 <= m <= n + 1:
-        raise ValueError(f"form degree m={m} out of range")
+    _check_form_degree(scheme, m, False)
     r = regularity_index(scheme)
     if scheme.reduced:
         return min(2 * r + m, 2 * r + n)
@@ -286,12 +283,7 @@ def _conic_is_singular(conic: HomogPoly) -> bool:
             mat[i][i] = coeff
         else:
             mat[i][j] = mat[j][i] = coeff / 2
-    det = (
-        mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-        - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-        + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-    )
-    return det == 0
+    return rank_int(integer_rows(mat)) < 3
 
 
 def conic_regularity_index(mults: Sequence[int]) -> int:

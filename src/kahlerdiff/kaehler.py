@@ -16,16 +16,17 @@ One ideal-jet sweep per scheme (`_GeneratorJets`) grows J_delta, the span
 of the top-order jets of (I_W)_delta, degree by degree, as the trailing
 block of one `span_sweep` echelon over the fattened scheme; linear maps
 Phi_i read the jets of dF/dX_i off them, on the top layer of the scheme,
-where those jets live.  The same sweep yields HF_W and r_W, the only
-source of them on the form path.  One generator, `_form_values`, feeds
-every table (`omega_hf`, `omega_hf_prefix` and the relative variant;
-`top_form_hf` is the cached `omega_hf` at m = n + 1): it inserts the images
-of the rows new in J at degree d - m + 1 into one `Echelon` and shifts
-nothing, except for Omega^1, whose rows are independent and so are
-counted: its rank is dim J_d.
+where those jets live.  The sweep ends where the echelon fills, at
+r_{W+1}, and it yields HF_W and r_W, the only source of them on the form
+path.  One generator, `_form_values`, feeds every table (`omega_hf`,
+`omega_hf_prefix` and the relative variant; `top_form_hf` is the cached
+`omega_hf` at m = n + 1): it inserts the images of the rows new in J at
+degree d - m + 1 into one `Echelon` and shifts nothing, except for
+Omega^1, whose rows are independent and so are counted: its rank is
+dim J_d.
 The scan stops at a repeated value past r_W + m, which the fattening bound
 places by D* = max(r_W + m, r_{W+1} + m - 1); D* + 1 caps it.
-`schemes.hf_table` keeps its own sweep of W alone, for the callers that
+`schemes.hf_table` runs `span_sweep` on W alone, for the callers that
 need only HF_W and as the independent route the checks hold the form
 tables against.  Jets come from the one exact evaluator
 `schemes.JetSystem`: ints when every point has integral coordinates,
@@ -40,11 +41,10 @@ from {1..n} and the differential loses its X_0 component.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, islice, product
+from itertools import accumulate, combinations, count, islice, product
 from math import comb, lcm
 from typing import Iterator, Sequence
 
@@ -197,17 +197,16 @@ class _GeneratorJets:
     coordinate of the point (its lowering terms read W, where it vanishes).
     new[delta] keeps, cut to H, the rows past the boundary whose pivots
     first appeared at delta; they span a complement of J_{delta-1} in
-    J_delta.  The sweep ends at the first degree where the echelon does
-    not grow, past which nothing can (this is Buchberger-Moeller in jet
-    form).  H (`top`) and L (`layer`) run point by point in the order of
-    the jet system, heaviest point first, which fixes the reduced rows
-    kept.
+    J_delta.  The sweep ends at the first degree where the echelon fills
+    all deg(W+1) columns, r_{W+1}, kept as `fattened_ri` (this is
+    Buchberger-Moeller in jet form).  H (`top`) and L (`layer`) run point
+    by point in the order of the jet system, heaviest point first, which
+    fixes the reduced rows kept.
 
     The rows pivoting on W's columns number HF_W(delta), and the others
-    dim J_delta = HF_{W+1}(delta) - HF_W(delta), kept in `jdims`.  HF_W
-    grows strictly until it reaches deg W, so the sweep passes r_W before
-    it ends, and `hf` holds HF_W as a table: the form tables read HF_W and
-    r_W there and never run `hf_table`.
+    dim J_delta = HF_{W+1}(delta) - HF_W(delta), kept in `jdims`.  Since
+    r_W <= r_{W+1}, `hf` holds HF_W as a table: the form tables read HF_W
+    and r_W there and never run `hf_table`.
     """
 
     def __init__(self, scheme: FatPointScheme):
@@ -227,20 +226,9 @@ class _GeneratorJets:
         self.scale = lcm(*js.denominators)
         self.layer_coords = [[int(self.scale * js.coords[j][t]) for j, _ in layer] for t in range(n)]
         D = js.dim
-        ech = Echelon(fat.dim, reduced_from=D)
-        self.new: list[list[list[int]]] = []
-        ranks: list[int] = []
-        self.jdims: list[int] = []
-        for new in span_sweep(fat, ech):
-            k = bisect_left(ech.pivots, D)
-            fresh = set(new)
-            self.new.append([row[D:] for row, p in zip(ech.rows[k:], ech.pivots[k:]) if p in fresh])
-            self.jdims.append(ech.rank - k)
-            if not new:
-                break
-            ranks.append(k)
-        k = ranks.index(D)
-        self.hf = HFTable(tuple(ranks[: k + 1]), k, D)
+        self.hf, self.new = span_sweep(fat, Echelon(fat.dim, reduced_from=D), D)
+        self.jdims = list(accumulate(map(len, self.new)))
+        self.fattened_ri = len(self.new) - 1
 
     def new_rows(self, delta: int) -> list[list[int]]:
         return self.new[delta] if 0 <= delta < len(self.new) else []
@@ -248,14 +236,6 @@ class _GeneratorJets:
     def jdim(self, delta: int) -> int:
         """dim J_delta = HF_{W+1}(delta) - HF_W(delta)."""
         return self.jdims[min(delta, len(self.jdims) - 1)] if delta >= 0 else 0
-
-    @property
-    def fattened_ri(self) -> int:
-        """ri(W+1), the first degree where HF_W + dim J fills deg(W+1)."""
-        full = self.js.dim + len(self.top)
-        return next(
-            d for d, jdim in enumerate(self.jdims) if self.hf.value(d) + jdim == full
-        )
 
     def partials(self, h: Sequence[int]) -> list[list[int]]:
         """scale * (Phi_0(h), ..., Phi_n(h)): the jets on the top layer of W
@@ -378,8 +358,6 @@ def _dense_submodule_rank(
     n = scheme.n
     basis = WedgeBasis(n, m, relative)
     cdeg = d - m
-    if cdeg < 0:
-        return 0
     ncoef = comb(n + cdeg, n)
     rows: list[list[Fraction]] = []
     members = ideal_slice(scheme, cdeg)
@@ -425,6 +403,8 @@ def submodule_slice(
     the literal coefficient matrix.
     """
     _check_form_degree(scheme, m, relative)
+    if method == "fast" and pool != "minimal":
+        raise ValueError(f"the fast path takes pool 'minimal', not {pool!r}")
     if d - m < 0:
         return 0
     if method == "dense":

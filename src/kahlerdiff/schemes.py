@@ -14,12 +14,13 @@ support meeting the hyperplane X_0 = 0 are rejected at construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm, perm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exactla import Echelon, integer_rows, kernel_standard, rank_int
 from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
@@ -48,11 +49,10 @@ class CoordinateAssumptionError(ValueError):
 
 
 class StabilizationError(RuntimeError):
-    """A Hilbert table did not stabilize below its scan cap.
-
-    A form table is constant from D* = max(r_W + m, r_{W+1} + m - 1) on, the
-    fattening bound, so its scan certifies by D* and its cap is D* + 1:
-    reaching it means a fault in the engine, not a hard input."""
+    """A Hilbert table did not stabilize where it provably must: a jet
+    sweep stopped growing short of full (`span_sweep`), or a form table
+    passed its cap D* + 1, with D* = max(r_W + m, r_{W+1} + m - 1) the
+    fattening bound.  Either means a fault in the engine, not a hard input."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,6 @@ class FatPointScheme:
     def degree(self) -> int:
         n = self.n
         return sum(comb(m + n - 1, n) for m in self.mults)
-
-    def support(self) -> "FatPointScheme":
-        return FatPointScheme(self.n, self.points, (1,) * self.s)
 
     def fattening(self, steps: int = 1) -> "FatPointScheme":
         return FatPointScheme(self.n, self.points, tuple(m + steps for m in self.mults))
@@ -318,10 +315,13 @@ def jet_system(scheme: FatPointScheme) -> JetSystem:
     return JetSystem(scheme)
 
 
-def span_sweep(js: JetSystem, ech: Echelon) -> Iterator[list[int]]:
+def span_sweep(js: JetSystem, ech: Echelon, split: int) -> tuple[HFTable, list[list[list[int]]]]:
     """Grow in `ech`, for d = 0, 1, 2, ..., the span V_d of the jets of all
-    forms of degree d, from the jet of 1, and yield the pivots new at each
-    degree; `ech.rank` is then dim V_d.
+    forms of degree d, from the jet of 1, until V_d fills all `ech.ncols`
+    columns, and return (hf, new): hf tabulates the number of pivots before
+    column `split` in each degree, and new[d] holds, cut to the columns
+    from `split` on, the rows that pivot there and whose pivots first
+    appeared at degree d, copied when that degree ends.
 
     X_0 acts as the identity on jets, so V_d = V_{d-1} + sum_i X_i V_{d-1},
     and since X_i V_{d-2} lies in V_{d-1} only the rows new at degree d-1
@@ -330,16 +330,30 @@ def span_sweep(js: JetSystem, ech: Echelon) -> Iterator[list[int]]:
     them leads at one of their pivots, and no vector of V_{d-2} does; this
     needs echelon form only.  Each shift is scaled by the common
     denominator of its coordinates, which keeps integer rows integral and
-    changes no span.
+    changes no span.  Once V_d = V_{d-1} the span never grows again, and
+    the jets of a fat point scheme fill every coordinate, so a degree that
+    adds no pivot before the span is full is a fault and raises
+    `StabilizationError`; every sweep ends within `ech.ncols` degrees.
     `hf_table` runs it on the scheme, with no reduced block; the ideal-jet
     sweep of `kaehler` runs it on the fattened scheme, with the functionals
     of the scheme first and the echelon reduced past them.
     """
     ech.insert(js.monomial_column((0,) * (js.scheme.n + 1)))
     seen: set[int] = set()
+    values: list[int] = []
+    new: list[list[list[int]]] = []
     while True:
         fresh = [(p, row) for p, row in zip(ech.pivots, ech.rows) if p not in seen]
-        yield [p for p, _ in fresh]
+        if not fresh:
+            raise StabilizationError(
+                "Hilbert function failed to stabilize: the jet span stopped "
+                f"growing at degree {len(values)}, short of its {ech.ncols} columns"
+            )
+        values.append(bisect_left(ech.pivots, split))
+        new.append([row[split:] for p, row in fresh if p >= split])
+        if ech.rank == ech.ncols:
+            k = values.index(values[-1])
+            return HFTable(tuple(values[: k + 1]), k, values[-1]), new
         seen.update(p for p, _ in fresh)
         ech.insert_all(
             js.shift_by_variable(row, i)
@@ -350,10 +364,6 @@ def span_sweep(js: JetSystem, ech: Echelon) -> Iterator[list[int]]:
 
 # --- Hilbert function -----------------------------------------------------
 
-def _scan_cap(scheme: FatPointScheme) -> int:
-    return sum(scheme.mults) + scheme.s + scheme.n
-
-
 @lru_cache(maxsize=None)
 def hf_table(scheme: FatPointScheme) -> HFTable:
     """Hilbert function of R_W, computed in one degree-by-degree sweep.
@@ -361,22 +371,11 @@ def hf_table(scheme: FatPointScheme) -> HFTable:
     HF_W(d) is the dimension of the span of the jets of all forms of
     degree d, which `span_sweep` grows from the jet of 1 at degree 0, in
     an echelon that is never reduced, since only its rank is read.  The
-    sweep stops at the first degree where that span fills all deg(W) jet
+    sweep ends at the first degree where that span fills all deg(W) jet
     coordinates, which is exactly the regularity index.
     """
     js = jet_system(scheme)
-    cap = _scan_cap(scheme)
-    ech = Echelon(js.dim, reduced_from=js.dim)
-    values = []
-    for d, _ in enumerate(span_sweep(js, ech)):
-        values.append(ech.rank)
-        if ech.rank == js.dim:
-            return HFTable(tuple(values), d, js.dim)
-        if d == cap:
-            raise StabilizationError(
-                f"Hilbert function failed to stabilize below the cap {cap}"
-            )
-    raise AssertionError("the sweep is endless")
+    return span_sweep(js, Echelon(js.dim, reduced_from=js.dim), js.dim)[0]
 
 
 def hilbert_function(scheme: FatPointScheme, d: int) -> int:
@@ -450,8 +449,6 @@ def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...
     gens: dict[int, tuple[HomogPoly, ...]] = {}
     for delta in range(alpha, r + 2):
         curr, free_cols = _slice_data(scheme, delta)
-        if not curr:
-            continue
         prev = _slice_data(scheme, delta - 1)[0]
         monos = degree_slice(n, delta)
         where = {mono: k for k, mono in enumerate(degree_slice(n, delta - 1))}

@@ -191,17 +191,22 @@ def _shipped(tmp_path, name):
 @pytest.mark.parametrize(
     "argv",
     [["hf", "--format", "text"], ["hf", "--format", "csv"], ["hf", "--format", "json"],
-     ["bounds", "--format", "text"], ["bounds", "--format", "json"]],
-    ids=["hf-text", "hf-csv", "hf-json", "bounds-text", "bounds-json"],
+     ["bounds", "--format", "text"], ["bounds", "--format", "json"], ["hf", "--m", "1"]],
+    ids=["hf-text", "hf-csv", "hf-json", "bounds-text", "bounds-json", "hf-m1"],
 )
 def test_scan_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
-    """A Hilbert function that does not stabilize below its cap exits 4
-    with one error line, in every output format."""
-    from kahlerdiff import cli, schemes
+    """A jet sweep that stops growing short of full, here with the shift
+    stalled, exits 4 with one error line, in every output format and for
+    the ideal-jet sweep of the form tables too."""
+    from kahlerdiff import cli, kaehler, schemes
 
     path = _shipped(tmp_path, "nine_points_p2.json")
-    monkeypatch.setattr(schemes, "_scan_cap", lambda scheme: 0)
+    monkeypatch.setattr(
+        schemes.JetSystem, "shift_by_variable", lambda self, vec, i: [0] * len(vec)
+    )
     schemes.hf_table.cache_clear()
+    kaehler._generator_jets.cache_clear()
+    kaehler.omega_hf.cache_clear()
     assert cli.main([argv[0], path, *argv[1:]]) == 4
     out, err = capsys.readouterr()
     assert out == ""

@@ -28,6 +28,7 @@ from kahlerdiff.formulas import (
 from kahlerdiff.kaehler import omega_hf, top_form_hf
 from kahlerdiff.polyring import parse_poly
 from kahlerdiff.schemes import FatPointScheme, ProjPoint, hf_table, hilbert_function
+from kahlerdiff.verify import load_scheme
 
 from conftest import random_scheme
 
@@ -190,6 +191,12 @@ def test_conic_spec_validation():
         ConicSchemeSpec(parse_poly("X1^2", 3), pts, [1] * 4)
     with pytest.raises(ValueError):
         ConicSchemeSpec(PARAM_CONIC, [ProjPoint((1, 1, 2))] + pts[:3], [1] * 4)
+    # a rank-2 conic, a line pair, through four of its points
+    on_lines = [ProjPoint(p) for p in ((1, 1, 1), (1, 2, 2), (1, 3, 3), (1, -1, 1))]
+    with pytest.raises(ValueError, match="singular"):
+        ConicSchemeSpec(parse_poly("X1^2 - X2^2", 3), on_lines, [1] * 4)
+    doc, shipped = load_scheme("conic8_p2")
+    assert ConicSchemeSpec(parse_poly(doc["conic"], 3), shipped.points, shipped.mults).s == 8
     spec = ConicSchemeSpec(PARAM_CONIC, pts, [3, 1, 2, 1])
     assert spec.mults == (1, 1, 2, 3)
     assert spec.nu is None

@@ -84,6 +84,10 @@ def test_submodule_slice_examples(four_points_p3):
         submodule_slice(four_points_p3, 5, 6)
     with pytest.raises(ValueError):
         submodule_slice(four_points_p3, 4, 6, relative=True)
+    # only the dense path reads `pool`; the fast path refuses any other
+    for pool in ("slices", "bogus"):
+        with pytest.raises(ValueError, match="pool"):
+            submodule_slice(four_points_p3, 2, 4, pool=pool)
 
 
 def test_fast_equals_dense_both_pools(rng):
@@ -214,6 +218,21 @@ def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
         d_star = max(r + m, r_fat + m - 1)
         with pytest.raises(StabilizationError, match=f"did not stabilize below {d_star + 1}$"):
             omega_hf(s, m)
+
+
+def test_stalled_sweeps_raise(monkeypatch):
+    """A jet span that stops growing short of full is a fault: with the
+    shift stalled, both the sweep of `hf_table` and the ideal-jet sweep
+    raise instead of running on."""
+    from kahlerdiff import kaehler
+    from kahlerdiff.schemes import JetSystem, StabilizationError
+
+    s = simple(2, (1, 41, -43), (1, 47, 53), mults=[2, 1])
+    monkeypatch.setattr(JetSystem, "shift_by_variable", lambda self, vec, i: [0] * len(vec))
+    with pytest.raises(StabilizationError, match="^Hilbert function failed to stabilize"):
+        hf_table(s)
+    with pytest.raises(StabilizationError, match="^Hilbert function failed to stabilize"):
+        kaehler._GeneratorJets(s)
 
 
 def test_koszul_identity(rng):
