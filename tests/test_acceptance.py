@@ -260,6 +260,8 @@ def test_criterion_10_twisted_cubic_probe():
         assert report.hp_top == 141
         assert report.hp_thinned == 141
         assert report.agree
+        # the probe reads hp_local; the engine table must reach the same HP
+        assert top_form_hf(scheme).hp == 141
 
 
 def test_verification_suites_all_pass():

@@ -216,19 +216,27 @@ def test_scan_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_form_scan_cap_exit_code(tmp_path, monkeypatch, capsys, fmt):
-    """The same exit code when a form table never repeats a value."""
-    from itertools import count
+    """The same exit code when a form table never repeats a value, and when
+    it settles on a plateau above its Hilbert polynomial from local lengths."""
+    from itertools import chain, count, repeat
 
     from kahlerdiff import cli, kaehler
 
     path = _shipped(tmp_path, "nine_points_p2.json")
-    monkeypatch.setattr(kaehler, "_form_values", lambda *args: count())
-    kaehler.omega_hf.cache_clear()
-    assert cli.main(["hf", path, "--m", "1", "--format", fmt]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: Omega^1 Hilbert function did not stabilize")
-    assert err.count("\n") == 1
+    real = kaehler.omega_hf(cli._load_scheme(path), 1)
+    faults = {
+        "did not stabilize": lambda *args: count(),
+        f"stabilized at {real.hp + 1}, not at its local Hilbert polynomial {real.hp}":
+            lambda *args: chain(real.table.values[: real.ri], repeat(real.hp + 1)),
+    }
+    for message, values in faults.items():
+        monkeypatch.setattr(kaehler, "_form_values", values)
+        kaehler.omega_hf.cache_clear()
+        assert cli.main(["hf", path, "--m", "1", "--format", fmt]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: Omega^1 Hilbert function {message}")
+        assert err.count("\n") == 1
 
 
 def test_bounds_checks_koszul_past_the_old_window(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 from kahlerdiff.kaehler import (
     ExteriorForm,
     WedgeBasis,
+    hp_local,
     koszul_check,
     omega_hf,
     omega_hf_prefix,
@@ -88,6 +89,15 @@ def test_submodule_slice_examples(four_points_p3):
     for pool in ("slices", "bogus"):
         with pytest.raises(ValueError, match="pool"):
             submodule_slice(four_points_p3, 2, 4, pool=pool)
+
+
+def test_submodule_slice_checks_method_and_pool_below_degree_m(four_points_p3):
+    """A bad `method`, or a bad `pool` on the dense path, is refused in every
+    degree, also below m, where the slice is empty."""
+    with pytest.raises(ValueError, match="method 'bogus'"):
+        submodule_slice(four_points_p3, 2, 1, method="bogus")
+    with pytest.raises(ValueError, match="pool 'bogus'"):
+        submodule_slice(four_points_p3, 2, 1, method="dense", pool="bogus")
 
 
 def test_fast_equals_dense_both_pools(rng):
@@ -193,8 +203,9 @@ def test_top_form_equals_presentation_path(rng):
 def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
     """Every absolute and relative table is constant from D* = max(r_W + m,
     r_{W+1} + m - 1) on, so its scan certifies by D*; r_W and r_{W+1} come
-    from `hf_table`, not from the ideal-jet sweep the cap reads.  A table
-    that never repeats a value is stopped at the cap D* + 1."""
+    from `hf_table`, not from the ideal-jet sweep the cap reads.  Its
+    constant is the Hilbert polynomial from local lengths.  A table that
+    never repeats a value is stopped at the cap D* + 1."""
     import random
     from itertools import count
 
@@ -210,6 +221,7 @@ def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
                 o = omega_hf(s, m, relative)
                 d_star = max(r + m, r_fat + m - 1)
                 assert o.ri <= d_star and o.cert_degree <= d_star, (s, m, relative)
+                assert o.hp == hp_local(s, m, relative), (s, m, relative)
 
     s = simple(2, (1, 5, -7), (1, -3, 2), (1, 4, 4), mults=[2, 1, 3])
     r, r_fat = regularity_index(s), regularity_index(s.fattening())
@@ -218,6 +230,31 @@ def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
         d_star = max(r + m, r_fat + m - 1)
         with pytest.raises(StabilizationError, match=f"did not stabilize below {d_star + 1}$"):
             omega_hf(s, m)
+
+
+def test_a_plateau_above_the_local_hp_is_refused(monkeypatch):
+    """The repeat rule alone would certify any plateau: a table that follows
+    the real one up to its ri and then stays one above its Hilbert
+    polynomial raises instead of being certified."""
+    from itertools import chain, repeat
+
+    from kahlerdiff import kaehler
+    from kahlerdiff.schemes import StabilizationError
+    from kahlerdiff.verify import load_scheme
+
+    _, s = load_scheme("nine_points_p2")
+    real = omega_hf(s, 1)
+    assert real.hp == hp_local(s, 1) == 9
+    monkeypatch.setattr(
+        kaehler, "_form_values",
+        lambda *args: chain(real.table.values[: real.ri], repeat(real.hp + 1)),
+    )
+    omega_hf.cache_clear()
+    with pytest.raises(
+        StabilizationError,
+        match=r"^Omega\^1 Hilbert function stabilized at 10, not at its local Hilbert polynomial 9$",
+    ):
+        omega_hf(s, 1)
 
 
 def test_stalled_sweeps_raise(monkeypatch):
@@ -534,3 +571,81 @@ def test_form_tables_invariant_under_coordinate_change():
         for m in range(1, s.n + 2):
             assert omega_hf(moved, m).table == omega_hf(s, m).table, (s, m)
         assert top_form_hf(moved).table == top_form_hf(s).table
+
+
+# --- Hilbert polynomials from local lengths ---------------------------------
+
+def _local_image_rank(n, nu, m, relative, p):
+    """Rank of Psi_j(H_j (x) Lambda^{m-1}) at the point with affine
+    coordinates p and multiplicity nu, eliminated from the unit top-order
+    jets: dF/dX_i (i >= 1) reads the jet of F at gamma + e_i, dF/dX_0 is
+    -sum_i p_i dF/dX_i, and dF ^ dX_J is sorted into the wedge basis."""
+    from itertools import combinations, product
+
+    from kahlerdiff.exactla import rank_int
+
+    indices = range(1, n + 1) if relative else range(n + 1)
+    top = [g for g in product(range(nu + 1), repeat=n) if sum(g) == nu]
+    layer = [g for g in product(range(nu), repeat=n) if sum(g) == nu - 1]
+    block = {T: k for k, T in enumerate(combinations(indices, m))}
+    width = len(layer)
+    rows = []
+    for gamma in top:
+        partial = {i: [int(tuple(a + (t == i - 1) for t, a in enumerate(g)) == gamma)
+                       for g in layer] for i in range(1, n + 1)}
+        partial[0] = [-sum(p[i - 1] * partial[i][k] for i in range(1, n + 1)) for k in range(width)]
+        for J in combinations(indices, m - 1):
+            row = [0] * (len(block) * width)
+            for i in indices:
+                if i not in J:
+                    sign = (-1) ** sum(j < i for j in J)
+                    base = block[tuple(sorted(J + (i,)))] * width
+                    for k, v in enumerate(partial[i]):
+                        row[base + k] += sign * v
+            rows.append(row)
+    return rank_int(rows)
+
+
+def test_local_ranks_by_elimination():
+    """The local rank in `hp_local` against elimination, which shares no code
+    with its closed form: C * C(nu + n - 1, n) - HP of one fat point is the
+    rank of its local image, at a point off the origin so that Phi_0 != 0."""
+    from math import comb
+
+    for n in (1, 2, 3):
+        p = (2, -1, 3)[:n]
+        for nu in range(1, 5):
+            s = FatPointScheme(n, [ProjPoint((1,) + p)], [nu])
+            for relative in (False, True):
+                free = n if relative else n + 1
+                for m in range(1, free + 1):
+                    rank = comb(free, m) * comb(nu + n - 1, n) - hp_local(s, m, relative)
+                    assert rank == _local_image_rank(n, nu, m, relative, p), (n, nu, m, relative)
+
+
+def test_top_form_hp_is_the_thinned_degree(rng):
+    """For m = n + 1 the local lengths sum to sum_j C(m_j + n - 2, n)."""
+    from math import comb
+
+    for _ in range(40):
+        s = random_scheme(rng, max_mult=5)
+        assert hp_local(s, s.n + 1) == sum(comb(nu + s.n - 2, s.n) for nu in s.mults), s
+
+
+def test_hp_local_on_the_shipped_schemes():
+    """hp_local is the engine HP of every absolute and relative table of the
+    shipped schemes; on the two heavy ones it gives the recorded HPs."""
+    from kahlerdiff.verify import load_scheme
+
+    for label in ("conic8_p2", "fat_points_p3", "four_points_p3", "line_mults_123_p1",
+                  "nine_points_p2", "six_on_conic_p2", "six_on_two_lines_p2", "ten_points_p2"):
+        _, s = load_scheme(label)
+        for relative in (False, True):
+            for m in range(1, (s.n if relative else s.n + 1) + 1):
+                assert omega_hf(s, m, relative).hp == hp_local(s, m, relative), (label, m)
+    # the engine HPs of hyperplane7_p5; only the top form's is golden data
+    doc, s = load_scheme("hyperplane7_p5")
+    assert [hp_local(s, m) for m in range(1, 7)] == [3472, 7580, 8980, 6062, 2205, 337]
+    assert hp_local(s, 6) == doc["expected"]["top_form"]["hp"]
+    doc, s = load_scheme("twisted_cubic10_p3")
+    assert hp_local(s, 4) == doc["expected"]["conjecture"]["hp_top"] == 141
