@@ -187,24 +187,11 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "passed": len(results) - len(failed),
-                    "failed": len(failed),
-                    "checks": [
-                        {
-                            "name": r.name,
-                            "passed": r.passed,
-                            **({} if r.passed else {"expected": r.expected, "computed": r.computed}),
-                        }
-                        for r in results
-                    ],
-                },
-                indent=2,
-            )
-        )
+        checks = [{"name": r.name, "passed": r.passed,
+                   **({} if r.passed else {"expected": r.expected, "computed": r.computed})}
+                  for r in results]
+        print(json.dumps({"suite": args.suite, "passed": len(results) - len(failed),
+                          "failed": len(failed), "checks": checks}, indent=2))
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
@@ -250,15 +237,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CoordinateAssumptionError as exc:
+    except (StabilizationError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COORDS
-    except StabilizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STABILIZATION
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, CoordinateAssumptionError):  # a ValueError
+            return EXIT_COORDS
+        return EXIT_STABILIZATION if isinstance(exc, StabilizationError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
@@ -19,6 +20,7 @@ from .exactla import integer_rows, rank_int
 from .kaehler import _check_form_degree, hp_local, omega_hf
 from .polyring import HomogPoly
 from .schemes import (
+    SCHEMES_KEPT,
     FatPointScheme,
     HFTable,
     ProjPoint,
@@ -166,6 +168,7 @@ def hp_exact_cases(scheme: FatPointScheme, m: int) -> Optional[int]:
     return None
 
 
+@lru_cache(maxsize=SCHEMES_KEPT)
 def is_general_position(scheme: FatPointScheme) -> bool:
     """No n+1 of the support points lie on a common hyperplane."""
     n = scheme.n

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate, combinations, count, islice, product
 from math import comb, lcm
 from typing import Iterator, Sequence
@@ -51,6 +51,7 @@ from typing import Iterator, Sequence
 from .exactla import Echelon, integer_rows, rank_int
 from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
 from .schemes import (
+    SCHEMES_KEPT,
     FatPointScheme,
     HFTable,
     JetSystem,
@@ -276,11 +277,10 @@ class _GeneratorJets:
         return out
 
 
-@lru_cache(maxsize=None)
-def _generator_jets(scheme: FatPointScheme) -> _GeneratorJets:
-    return _GeneratorJets(scheme)
+_generator_jets = lru_cache(maxsize=SCHEMES_KEPT)(_GeneratorJets)
 
 
+@lru_cache(maxsize=SCHEMES_KEPT)
 def _polynomial_partial_jets(
     scheme: FatPointScheme,
 ) -> list[tuple[int, list[list[Fraction | int]]]]:
@@ -288,7 +288,7 @@ def _polynomial_partial_jets(
     G: the polynomial route of the per-degree oracle, which shares no ideal
     data with the sweep.  The partials are taken by polynomial calculus and
     their jets on the scheme come from one `poly_jets` call per generator.
-    Built on demand and never cached."""
+    Cached per scheme, since a caller walks degrees (verify's top form)."""
     js = jet_system(scheme)
     return [
         (delta, js.poly_jets([g.partial(i) for i in range(scheme.n + 1)]))
@@ -508,7 +508,18 @@ def hp_local(scheme: FatPointScheme, m: int, relative: bool = False) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+def _one_entry_per_table(table):
+    """Cache `table` under (scheme, m, relative), however a call spells
+    them, keeping up to 16 tables a scheme (it has at most 2n + 1)."""
+    cached = lru_cache(maxsize=SCHEMES_KEPT * 16)(table)
+    @wraps(table)
+    def keyed(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
+        return cached(scheme, m, bool(relative))
+    keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
+    return keyed
+
+
+@_one_entry_per_table
 def omega_hf(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
     """Hilbert function table of Omega^m, swept to certified stabilization:
     the first repeat past r_W + m, where the X_i act diagonally on the

@@ -42,6 +42,11 @@ __all__ = [
     "scheme_to_json_dict",
 ]
 
+# Every per-scheme cache keeps the results of the last SCHEMES_KEPT schemes,
+# so a session over many schemes holds a bounded amount; `verify-paper`
+# comes back to a scheme at most two schemes later, so none is recomputed.
+SCHEMES_KEPT = 8
+
 
 class CoordinateAssumptionError(ValueError):
     """A support point lies on the hyperplane X_0 = 0."""
@@ -311,9 +316,7 @@ class JetSystem:
         return out
 
 
-@lru_cache(maxsize=None)
-def jet_system(scheme: FatPointScheme) -> JetSystem:
-    return JetSystem(scheme)
+jet_system = lru_cache(maxsize=SCHEMES_KEPT)(JetSystem)
 
 
 def span_sweep(js: JetSystem, ech: Echelon, split: int) -> tuple[HFTable, list[list[list[int]]]]:
@@ -365,7 +368,7 @@ def span_sweep(js: JetSystem, ech: Echelon, split: int) -> tuple[HFTable, list[l
 
 # --- Hilbert function -----------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHEMES_KEPT)
 def hf_table(scheme: FatPointScheme) -> HFTable:
     """Hilbert function of R_W, computed in one degree-by-degree sweep.
 
@@ -397,7 +400,7 @@ def initial_degree(scheme: FatPointScheme) -> int:
     return d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHEMES_KEPT * 32)  # 32 slice degrees a scheme
 def _slice_data(scheme: FatPointScheme, d: int) -> tuple[tuple[list[int], ...], tuple[int, ...]]:
     """The degree-d ideal slice as coefficient vectors over `degree_slice`,
     with the free columns that index them.
@@ -427,7 +430,7 @@ def ideal_slice(scheme: FatPointScheme, d: int) -> tuple[HomogPoly, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHEMES_KEPT)
 def minimal_generators(scheme: FatPointScheme) -> dict[int, tuple[HomogPoly, ...]]:
     """Minimal homogeneous generators of I_W, grouped by degree, each as a
     primitive integer polynomial.
