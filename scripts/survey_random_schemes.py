@@ -2,7 +2,8 @@
 """Sharpness survey: how often do the regularity bounds bite?
 
 Samples random fat point schemes, compares every engine regularity index
-with the bound chain, and tallies where the bounds are attained.
+with the bound chain, and tallies where the bounds are attained.  It draws
+until it holds N distinct schemes, so a repeated draw is tallied once.
 
 Usage: python scripts/survey_random_schemes.py [--count N] [--seed S]
 """
@@ -29,11 +30,15 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    drawn: dict = {}  # insertion-ordered, so the first draw of a scheme keeps its place
+    draws = 0
+    while len(drawn) < args.count:
+        drawn[random_scheme(rng)] = None
+        draws += 1
     attained = Counter()
     slack = Counter()
     print(f"{'n':>2} {'s':>2} {'deg':>4} {'r':>3}  ri(engine)      ri(bound)")
-    for _ in range(args.count):
-        s = random_scheme(rng)
+    for s in drawn:
         ris = [omega_hf(s, m).ri for m in range(1, s.n + 2)]
         bounds = [ri_bounds(s, m) for m in range(1, s.n + 2)]
         print(
@@ -49,7 +54,8 @@ def main() -> None:
             hp = omega_hf(s, m).hp
             assert lo <= hp <= hi
 
-    print("\nbound attained (by form degree):", dict(sorted(attained.items())))
+    print(f"\n{len(drawn)} distinct schemes in {draws} draws")
+    print("bound attained (by form degree):", dict(sorted(attained.items())))
     print("total slack (by form degree):  ", dict(sorted(slack.items())))
 
 

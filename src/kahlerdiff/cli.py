@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 coordinate-assumption violation (a support point on X_0 = 0),
 4 a Hilbert table that did not stabilize where it must: a jet sweep that
-stopped growing short of full, or a form table past its cap (a fault).
+stopped growing short of full, or a form table whose value at the
+fattening bound is not its Hilbert polynomial from local lengths (a fault).
 """
 
 from __future__ import annotations

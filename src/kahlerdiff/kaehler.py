@@ -23,9 +23,10 @@ path.  One generator, `_form_values`, feeds every table (`omega_hf`,
 `omega_hf` at m = n + 1): it inserts the images of the rows new in J at
 degree d - m + 1 into one `Echelon` and shifts nothing, except for
 Omega^1, whose rows are independent and so are counted: its rank is dim J_d.
-The scan stops at a repeated value past r_W + m, which must be `hp_local`,
-the Hilbert polynomial from local lengths; the fattening bound places it by
-D* = max(r_W + m, r_{W+1} + m - 1), and D* + 1 caps the scan.
+Each table is read through the fattening bound D* = max(r_W + m,
+r_{W+1} + m - 1), from which it is constant by construction, and its value
+there must be `hp_local`, the Hilbert polynomial from local lengths; only
+`span_sweep` decides where it ends.
 `schemes.hf_table` runs `span_sweep` on W alone, for the callers that
 need only HF_W and as the independent route the checks hold the form
 tables against.  Jets come from the one exact evaluator `schemes.JetSystem`:
@@ -414,8 +415,8 @@ def submodule_slice(
 class OmegaHF:
     """Hilbert data of a module of differential m-forms.
 
-    cert_degree is the degree at which the first repeated value at or past
-    r_W + m was observed, certifying the constant tail.
+    cert_degree is max(ri, r_W + m): the table is constant from there on,
+    which its value at the fattening bound D*, `hp_local`, certifies.
     """
 
     scheme: FatPointScheme
@@ -521,26 +522,22 @@ def _one_entry_per_table(table):
 
 @_one_entry_per_table
 def omega_hf(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
-    """Hilbert function table of Omega^m, swept to certified stabilization:
-    the first repeat past r_W + m, where the X_i act diagonally on the
-    top-order jets of ideal elements so that R_d stops growing only at its
-    limit, which must give `hp_local`.  R_d is that limit from D* =
-    max(r_W + m, r_{W+1} + m - 1) on, so a scan past D* + 1 raises too."""
+    """Hilbert function table of Omega^m, computed through the fattening
+    bound D* = max(r_W + m, r_{W+1} + m - 1).  From D* on every row of J
+    has gone in and HF_W(d - m) = deg W, so R_d is its limit and the table
+    is constant; its value at D* must be `hp_local`.  The values are kept
+    through cert_degree + 1, with cert_degree = max(ri, r_W + m)."""
     _check_form_degree(scheme, m, relative)
     gj = _generator_jets(scheme)
     r = gj.hf.stable_from
-    cap = max(r + m, gj.fattened_ri + m - 1) + 1
-    table: list[int] = []
-    for d, value in enumerate(_form_values(scheme, m, relative)):
-        table.append(value)
-        if d - 1 >= r + m and value == table[d - 1]:
-            if value != (hp := hp_local(scheme, m, relative)):
-                raise StabilizationError(f"Omega^{m} Hilbert function stabilized at "
-                                         f"{value}, not at its local Hilbert polynomial {hp}")
-            return OmegaHF(scheme, m, relative, HFTable.from_values(table), d - 1)
-        if d > cap:
-            raise StabilizationError(f"Omega^{m} Hilbert function did not stabilize below {cap}")
-    raise AssertionError("the sweep is endless")
+    d_star = max(r + m, gj.fattened_ri + m - 1)
+    values = list(islice(_form_values(scheme, m, relative), d_star + 1))
+    if values[d_star] != (hp := hp_local(scheme, m, relative)):
+        raise StabilizationError(f"Omega^{m} Hilbert function stabilized at "
+                                 f"{values[d_star]}, not at its local Hilbert polynomial {hp}")
+    ri = HFTable.from_values(values).stable_from
+    cert = max(ri, r + m)
+    return OmegaHF(scheme, m, relative, HFTable((*values[: cert + 1], hp), ri, hp), cert)
 
 
 def omega_hf_prefix(

@@ -55,10 +55,10 @@ class CoordinateAssumptionError(ValueError):
 class StabilizationError(RuntimeError):
     """A Hilbert table did not stabilize where it provably must: a jet
     sweep stopped growing short of full (`span_sweep`), or a form table
-    passed its cap D* + 1, with D* = max(r_W + m, r_{W+1} + m - 1) the
-    fattening bound, or stabilized at a value other than its Hilbert
-    polynomial from local lengths (`kaehler.hp_local`).  Each means a fault
-    in the engine, not a hard input."""
+    took, at the fattening bound D* = max(r_W + m, r_{W+1} + m - 1), a
+    value other than its Hilbert polynomial from local lengths
+    (`kaehler.hp_local`).  Each means a fault in the engine, not a hard
+    input."""
 
 
 @dataclass(frozen=True)

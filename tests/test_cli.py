@@ -216,16 +216,22 @@ def test_scan_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_form_scan_cap_exit_code(tmp_path, monkeypatch, capsys, fmt):
-    """The same exit code when a form table never repeats a value, and when
-    it settles on a plateau above its Hilbert polynomial from local lengths."""
+    """The same exit code when a form table never repeats a value, so that
+    its value at the fattening bound D* is D* itself, and when it settles
+    on a plateau above its Hilbert polynomial from local lengths."""
     from itertools import chain, count, repeat
 
     from kahlerdiff import cli, kaehler
+    from kahlerdiff.schemes import regularity_index
 
     path = _shipped(tmp_path, "nine_points_p2.json")
-    real = kaehler.omega_hf(cli._load_scheme(path), 1)
+    scheme = cli._load_scheme(path)
+    real = kaehler.omega_hf(scheme, 1)
+    d_star = max(regularity_index(scheme) + 1, regularity_index(scheme.fattening()))
+    assert (d_star, real.hp) == (11, 9)
     faults = {
-        "did not stabilize": lambda *args: count(),
+        f"stabilized at {d_star}, not at its local Hilbert polynomial {real.hp}":
+            lambda *args: count(),
         f"stabilized at {real.hp + 1}, not at its local Hilbert polynomial {real.hp}":
             lambda *args: chain(real.table.values[: real.ri], repeat(real.hp + 1)),
     }

@@ -202,10 +202,10 @@ def test_top_form_equals_presentation_path(rng):
 
 def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
     """Every absolute and relative table is constant from D* = max(r_W + m,
-    r_{W+1} + m - 1) on, so its scan certifies by D*; r_W and r_{W+1} come
-    from `hf_table`, not from the ideal-jet sweep the cap reads.  Its
-    constant is the Hilbert polynomial from local lengths.  A table that
-    never repeats a value is stopped at the cap D* + 1."""
+    r_{W+1} + m - 1) on, so it is certified by D*, at max(ri, r_W + m);
+    r_W and r_{W+1} come from `hf_table`, not from the ideal-jet sweep the
+    stop reads.  Its constant is the Hilbert polynomial from local lengths.
+    A table that never repeats a value is refused by its value at D*."""
     import random
     from itertools import count
 
@@ -221,6 +221,7 @@ def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
                 o = omega_hf(s, m, relative)
                 d_star = max(r + m, r_fat + m - 1)
                 assert o.ri <= d_star and o.cert_degree <= d_star, (s, m, relative)
+                assert o.cert_degree == max(o.ri, r + m), (s, m, relative)
                 assert o.hp == hp_local(s, m, relative), (s, m, relative)
 
     s = simple(2, (1, 5, -7), (1, -3, 2), (1, 4, 4), mults=[2, 1, 3])
@@ -228,14 +229,19 @@ def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
     monkeypatch.setattr(kaehler, "_form_values", lambda *args: count())
     for m in range(1, s.n + 2):
         d_star = max(r + m, r_fat + m - 1)
-        with pytest.raises(StabilizationError, match=f"did not stabilize below {d_star + 1}$"):
+        hp = hp_local(s, m)
+        assert hp != d_star
+        with pytest.raises(
+            StabilizationError,
+            match=f"stabilized at {d_star}, not at its local Hilbert polynomial {hp}$",
+        ):
             omega_hf(s, m)
 
 
 def test_a_plateau_above_the_local_hp_is_refused(monkeypatch):
-    """The repeat rule alone would certify any plateau: a table that follows
-    the real one up to its ri and then stays one above its Hilbert
-    polynomial raises instead of being certified."""
+    """A plateau is no certificate: a table that follows the real one up to
+    its ri and then stays one above its Hilbert polynomial raises at D*
+    instead of being certified."""
     from itertools import chain, repeat
 
     from kahlerdiff import kaehler
@@ -255,6 +261,31 @@ def test_a_plateau_above_the_local_hp_is_refused(monkeypatch):
         match=r"^Omega\^1 Hilbert function stabilized at 10, not at its local Hilbert polynomial 9$",
     ):
         omega_hf(s, 1)
+
+
+def test_an_early_plateau_is_not_the_tail(monkeypatch):
+    """A repeat past r_W + m does not end a table: here the values of
+    Omega^2 on P^1 (r_W = 5, r_{W+1} = 9, D* = 10) follow the real ones to
+    r_W + m - 1, then run hp, hp, hp - 1 and hp on.  The table reports the
+    dip and is certified at D*, not on the plateau."""
+    from itertools import chain, repeat
+
+    from kahlerdiff import kaehler
+    from kahlerdiff.schemes import regularity_index
+
+    s = simple(1, (1, 0), (1, 1), (1, 3), (1, -2), mults=[2, 1, 1, 2])
+    r, r_fat = regularity_index(s), regularity_index(s.fattening())
+    assert (r, r_fat) == (5, 9)
+    real = omega_hf(s, 2)
+    hp = real.hp
+    monkeypatch.setattr(
+        kaehler, "_form_values",
+        lambda *args: chain(real.table.prefix(r + 2), [hp, hp, hp - 1], repeat(hp)),
+    )
+    omega_hf.cache_clear()
+    o = omega_hf(s, 2)
+    assert o.table.prefix(12) == [*real.table.prefix(r + 2), hp, hp, hp - 1, hp, hp]
+    assert o.ri == o.cert_degree == 10
 
 
 def test_stalled_sweeps_raise(monkeypatch):
