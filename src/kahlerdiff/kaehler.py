@@ -13,28 +13,16 @@ partials of an ideal element F are fixed by its top-order jets, those of
 order m_j at P_j.
 
 One ideal-jet sweep per scheme (`_GeneratorJets`) grows J_delta, the span
-of the top-order jets of (I_W)_delta, degree by degree, as the trailing
-block of one `span_sweep` echelon over the fattened scheme; linear maps
-Phi_i read the jets of dF/dX_i off them, on the top layer of the scheme,
-where those jets live.  The sweep ends where the echelon fills, at
-r_{W+1}, and it yields HF_W and r_W, the only source of them on the form
-path.  One generator, `_form_values`, feeds every table (`omega_hf`,
-`omega_hf_prefix` and the relative variant; `top_form_hf` is the cached
-`omega_hf` at m = n + 1): it inserts the images of the rows new in J at
-degree d - m + 1 into one `Echelon` and shifts nothing, except for
-Omega^1, whose rows are independent and so are counted: its rank is dim J_d.
-Each table is read through the fattening bound D* = max(r_W + m,
-r_{W+1} + m - 1), from which it is constant by construction, and its value
-there must be `hp_local`, the Hilbert polynomial from local lengths; only
-`span_sweep` decides where it ends.
-`schemes.hf_table` runs `span_sweep` on W alone, for the callers that
-need only HF_W and as the independent route the checks hold the form
-tables against.  Jets come from the one exact evaluator `schemes.JetSystem`:
-ints when every point has integral coordinates, Fractions otherwise.
-`submodule_slice` ranks a single degree from scratch by Bareiss elimination,
-with rows built from the polynomial minimal generators and the Leibniz rule,
-and it and its literal dense-matrix path are the oracles the tests hold the
-sweep against.
+of those jets over (I_W)_delta, and yields HF_W, r_W and r_{W+1}.  One
+generator, `_form_values`, feeds every table: it maps the rows new in J
+into one `Echelon` per table.  A table is read through the fattening bound
+D* = max(r_W + m, r_{W+1} + m - 1), where its value must be `hp_local`,
+the Hilbert polynomial from local lengths.  `schemes.hf_table` runs
+`span_sweep` on W alone, the independent route the checks hold the form
+tables against.  `submodule_slice` ranks a single degree from scratch by
+Bareiss elimination, with rows built from the polynomial minimal
+generators and the Leibniz rule; it and its literal dense-matrix path are
+the oracles the tests hold the sweep against.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -50,14 +38,13 @@ from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .exactla import Echelon, integer_rows, rank_int
-from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
+from .polyring import Exponents, HomogPoly, degree_slice
 from .schemes import (
     SCHEMES_KEPT,
     FatPointScheme,
     HFTable,
-    JetSystem,
     StabilizationError,
-    _bump,
+    _jet_block,
     hilbert_function,
     ideal_slice,
     initial_degree,
@@ -183,53 +170,45 @@ def wedge_with_differential(
 class _GeneratorJets:
     """Top-order jets of the vanishing ideal, degree by degree.
 
-    H is the top-order block of the fattened scheme W+1: the functionals
-    (j, gamma) with |gamma| = m_j.  J_delta, the span of the H-jets of the
-    forms in (I_W)_delta, is the whole ideal data the form tables need: for
-    F in I_W the first partials vanish to order m_j - 1 at P_j, and their
-    jets on the top layer L of W, the functionals with |gamma| = m_j - 1,
+    H (`top`) is the top-order block of the fattened scheme W+1: the
+    functionals (j, gamma) with |gamma| = m_j.  J_delta, the span of the
+    H-jets of the forms in (I_W)_delta, is the whole ideal data the form
+    tables need: for F in I_W the first partials vanish to order m_j - 1 at
+    P_j, and their jets on the top layer L (`layer`) of W, |gamma| = m_j - 1,
     are read off F's H-jets by Phi_1..Phi_n (dF/dX_i at (j, gamma) is F at
-    (j, gamma + e_i)), and Phi_0 = -sum_i p_i Phi_i by the Euler relation.
+    (j, gamma + e_i), at `bumped[i - 1]` in H), and Phi_0 = -sum_i p_i Phi_i
+    by the Euler relation.  H and L run point by point in the order of the
+    jet system and are read off the points' `_jet_block`s.
 
-    One `span_sweep` on W+1, W's functionals first, grows the jets of
-    S_delta in one echelon, reduced from deg W on.  A row pivoting past W's
-    columns vanishes on W, so it is the jet of an ideal element; these rows
-    are the reduced basis of J_delta, whatever the rows on W's columns,
-    which give only their pivots.  `shift_by_variable` moves a J row by the
-    diagonal action of X_i, the multiplication by den_i times the i-th affine
-    coordinate of the point (its lowering terms read W, where it vanishes).
-    new[delta] keeps, cut to H, the rows past the boundary whose pivots
-    first appeared at delta; they span a complement of J_{delta-1} in
-    J_delta.  The sweep ends at the first degree where the echelon fills
-    all deg(W+1) columns, r_{W+1}, kept as `fattened_ri` (this is
-    Buchberger-Moeller in jet form).  H (`top`) and L (`layer`) run point
-    by point in the order of the jet system, heaviest point first, which
-    fixes the reduced rows kept.
-
-    The rows pivoting on W's columns number HF_W(delta), and the others
-    dim J_delta = HF_{W+1}(delta) - HF_W(delta), kept in `jdims`.  Since
-    r_W <= r_{W+1}, `hf` holds HF_W as a table: the form tables read HF_W
-    and r_W there and never run `hf_table`.
+    One `span_sweep` on `JetSystem.fattened` grows the jets of S_delta in
+    one echelon, reduced from deg W on.  A row pivoting past W's columns
+    vanishes on W, so it is the jet of an ideal element; these rows are the
+    reduced basis of J_delta.  new[delta] keeps, cut to H, the rows past W
+    whose pivots first appeared at delta: they span a complement of
+    J_{delta-1} in J_delta.  The sweep ends where the echelon fills, at
+    r_{W+1}, kept as `fattened_ri` (this is Buchberger-Moeller in jet form).
+    The rows pivoting on W's columns number HF_W(delta), and the others dim
+    J_delta, kept in `jdims`; since r_W <= r_{W+1}, `hf` holds HF_W as a
+    table, and the form tables never run `hf_table`.
     """
 
     def __init__(self, scheme: FatPointScheme):
         n = scheme.n
         self.js = js = jet_system(scheme)
-        top = [
-            (j, gamma)
-            for j in js.order
-            for gamma in sorted(monomials_of_degree(n, scheme.mults[j]))
-        ]
-        fat = JetSystem(scheme.fattening(), js.index + top)
-        hpos = {key: k for k, key in enumerate(top)}
-        self.top = top
-        self.layer = layer = [(j, g) for j, g in js.index if sum(g) == scheme.mults[j] - 1]
-        self.width = len(layer)
-        self.bumped = [[hpos[(j, _bump(g, t))] for j, g in layer] for t in range(n)]
-        self.scale = lcm(*js.denominators)
-        self.layer_coords = [[int(self.scale * js.coords[j][t]) for j, _ in layer] for t in range(n)]
-        D = js.dim
-        self.hf, self.new = span_sweep(fat, Echelon(fat.dim, reduced_from=D), D)
+        fat = js.fattened()
+        self.top = fat.index[js.dim :]
+        self.layer, self.bumped, at = [], [[] for _ in range(n)], 0  # at: P_j's start in H
+        for j in js.order:
+            gammas, _, raised = _jet_block(n, scheme.mults[j])
+            top = comb(scheme.mults[j] + n - 1, n)  # where order m_j starts in the block
+            self.layer += [(j, g) for g in gammas[top - len(raised[0]) : top]]
+            for bumped, up in zip(self.bumped, raised):
+                bumped += [at + k for k in up]
+            at += len(gammas) - top
+        self.width = len(self.layer)
+        self.scale = scale = lcm(*js.denominators)
+        self.layer_coords = [[int(scale * js.coords[j][t]) for j, _ in self.layer] for t in range(n)]
+        self.hf, self.new = span_sweep(fat, Echelon(fat.dim, reduced_from=js.dim), js.dim)
         self.jdims = list(accumulate(map(len, self.new)))
         self.fattened_ri = len(self.new) - 1
 
@@ -438,51 +417,51 @@ def _form_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int
     """Yield C * HF_W(d - m) - dim R_d for d = 0, 1, 2, ..., with C the
     number of wedge monomials.
 
-    R_d is the image of dI * Omega^{m-1} in degree d, in C copies of the
-    top-layer jet coordinates.  Modulo I * Omega^m, A dF = d(AF) - F dA is
-    d(AF), so R_d is spanned by the rows dF ^ dX_J over the (m-1)-subsets J
-    and h in J_{d-m+1}, with dF = sum_i Phi_i(h) dX_i; its growth at d is
-    spanned by the rows of the ideal-jet rows new at d - m + 1, and nothing
-    is shifted.  HF_W comes from the sweep.
+    R_d, the image of dI * Omega^{m-1} in degree d in C copies of the
+    top-layer jet coordinates, is spanned by the rows dF ^ dX_J over the
+    (m-1)-subsets J and h in J_{d-m+1}, with dF = sum_i Phi_i(h) dX_i, so
+    its growth at d is spanned by the rows of the ideal-jet rows new at
+    d - m + 1.  A degree with none inserts nothing, and once the echelon
+    fills its columns no row is built: a full span cannot grow.  The blocks
+    run in reverse order of their subsets, so those of the subsets with 0,
+    which hold the dense Phi_0, come last, and the pivots, taken leftmost,
+    land on the sparse Phi_i blocks; a permutation of columns keeps ranks.
 
-    The blocks of the rows run in reverse order of their subsets, so the
-    blocks of the subsets with 0, which hold the dense Phi_0 = -sum_i p_i
-    Phi_i, come last, and the pivots, taken leftmost, land on the sparse
-    Phi_i blocks.  A permutation of the columns changes no rank.
-
-    For m = 1 (absolute or relative) the row of h is Phi(h), and it is
-    counted, not eliminated.  Phi_1..Phi_n between them read every H-jet of
-    h, since each gamma' with |gamma'| = m_j >= 1 is gamma + e_t for some
-    (j, gamma) in L; so Phi is injective on J.  The rows new at each degree
-    are independent (each is zero at every earlier pivot), so dim R_d =
-    dim J_d and HF(d) = C * HF_W(d - 1) - dim J_d."""
+    For m = 1 the rows are counted, not eliminated: Phi is injective on J,
+    since Phi_1..Phi_n read every H-jet (each gamma' of order m_j is some
+    gamma + e_t with (j, gamma) in L), and the rows new at a degree are zero
+    at every earlier pivot, so HF(d) = C * HF_W(d - 1) - dim J_d."""
     basis = WedgeBasis(scheme.n, m, relative)
     blocks = basis.size
     gj = _generator_jets(scheme)
+    hf, new, jdims = gj.hf, gj.new, gj.jdims
     if m == 1:
         for d in count():
-            yield blocks * gj.hf.value(d - 1) - gj.jdim(d)
-    tpos = {T: k for k, T in enumerate(reversed(basis.subsets))}
+            yield blocks * hf.value(d - 1) - jdims[min(d, len(jdims) - 1)]
+    w = gj.width
+    tpos = {T: slice(k * w, (k + 1) * w) for k, T in enumerate(reversed(basis.subsets))}
     terms = [
         [(i, tpos[tuple(sorted(J + (i,)))], _insertion_sign(i, J))
          for i in basis.indices if i not in J]
         for J in combinations(basis.indices, m - 1)
     ]
-    w = gj.width
     ech = Echelon(blocks * w)
     for d in count():
-        rows = []
-        for h in gj.new_rows(d - m + 1):
-            parts = gj.partials(h)
-            for wedge in terms:
-                row = [0] * (blocks * w)
-                for i, k, sign in wedge:
-                    if any(parts[i]):
-                        row[k * w : (k + 1) * w] = parts[i] if sign > 0 else [-v for v in parts[i]]
-                if any(row):
-                    rows.append(row)
-        ech.insert_all(rows)
-        yield blocks * gj.hf.value(d - m) - ech.rank
+        if 0 <= d - m + 1 < len(new) and ech.rank < ech.ncols:
+            rows = []
+            for h in new[d - m + 1]:
+                parts = [part if any(part) else None for part in gj.partials(h)]
+                for wedge in terms:
+                    row = None
+                    for i, cols, sign in wedge:
+                        if parts[i]:
+                            row = row or [0] * ech.ncols
+                            row[cols] = parts[i] if sign > 0 else [-v for v in parts[i]]
+                    if row:
+                        rows.append(row)
+            if rows:
+                ech.insert_all(rows)
+        yield blocks * hf.value(d - m) - ech.rank
 
 
 _LOCAL_HP: dict[tuple[int, int, int, bool], int] = {}  # (n, nu, m, relative) -> one point's HP
@@ -535,7 +514,7 @@ def omega_hf(scheme: FatPointScheme, m: int, relative: bool = False) -> OmegaHF:
     if values[d_star] != (hp := hp_local(scheme, m, relative)):
         raise StabilizationError(f"Omega^{m} Hilbert function stabilized at "
                                  f"{values[d_star]}, not at its local Hilbert polynomial {hp}")
-    ri = HFTable.from_values(values).stable_from
+    ri = next((d for d in range(d_star, 0, -1) if values[d - 1] != hp), 0)
     cert = max(ri, r + m)
     return OmegaHF(scheme, m, relative, HFTable((*values[: cert + 1], hp), ri, hp), cert)
 

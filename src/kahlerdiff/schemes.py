@@ -15,9 +15,10 @@ support meeting the hyperplane X_0 = 0 are rejected at construction.
 from __future__ import annotations
 
 from bisect import bisect_left
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, lcm, perm
 from typing import Iterable, Sequence
@@ -73,6 +74,10 @@ class ProjPoint:
         if lead is None:
             raise ValueError("the zero vector is not a projective point")
         object.__setattr__(self, "coords", tuple(c / lead for c in vals))
+        object.__setattr__(self, "_hash", hash(self.coords))  # a Fraction hash costs an inverse
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -201,16 +206,26 @@ class HFTable:
 
 # --- jet functionals ------------------------------------------------------
 
-def _jet_orders(n: int, max_order: int) -> list[Exponents]:
-    """Multi-indices over the affine variables with |gamma| <= max_order."""
-    out: list[Exponents] = []
-    for total in range(max_order + 1):
-        out.extend(sorted(monomials_of_degree(n, total)))
-    return out
+_Block = tuple[list[Exponents], list[list[tuple[int, int, int]]], list[list[int]]]
+_JET_BLOCKS: dict[tuple[int, int], _Block] = {}
 
 
-def _bump(gamma: Exponents, t: int, by: int = 1) -> Exponents:
-    return gamma[:t] + (gamma[t] + by,) + gamma[t + 1 :]
+def _jet_block(n: int, nu: int) -> _Block:
+    """One point's jet functionals with |gamma| <= nu, built once per (n, nu):
+    the multi-indices gamma over the affine variables, by order and sorted
+    within one, so order nu comes last; per affine variable t, the lowerings
+    (k, gamma_t, position of gamma - e_t) in the block, and the positions
+    among those of order nu of gamma + e_t, for the gamma of order nu - 1."""
+    if (block := _JET_BLOCKS.get((n, nu))) is None:
+        gammas = [g for total in range(nu + 1) for g in sorted(monomials_of_degree(n, total))]
+        at = {g: k for k, g in enumerate(gammas)}
+        lowering = [[(k, g[t], at[g[:t] + (g[t] - 1,) + g[t + 1 :]])
+                     for k, g in enumerate(gammas) if g[t]] for t in range(n)]
+        top = comb(nu + n - 1, n)
+        raised = [[at[g[:t] + (g[t] + 1,) + g[t + 1 :]] - top for g in gammas if sum(g) == nu - 1]
+                  for t in range(n)]
+        block = _JET_BLOCKS[n, nu] = (gammas, lowering, raised)
+    return block
 
 
 class JetSystem:
@@ -221,48 +236,59 @@ class JetSystem:
     coordinate 1, so X_0 acts as the identity on jets.  The affine
     coordinates are stored once, as ints where they are integral and as
     Fractions otherwise, so on an integral scheme the jets of an integer
-    polynomial are ints.  `span_sweep` grows spans of jet vectors degree
-    by degree with `shift_by_variable`.
-
-    `index` orders the functionals.  By default they run point by point,
-    heaviest point first (`order`), and by order within a point: echelons
-    over these columns keep far smaller entries than in the order of the
-    points (the Hilbert function of the shipped twisted cubic takes a
-    quarter of the time).
+    polynomial are ints.  The functionals (`index`; `pos` inverts it when
+    first read) run point by point, heaviest point first (`order`), each a
+    `_jet_block`: echelons over these columns keep far smaller entries
+    than in the order of the points (the Hilbert function of the shipped
+    twisted cubic takes a quarter of the time).
     """
 
-    def __init__(
-        self, scheme: FatPointScheme, index: Sequence[tuple[int, Exponents]] = ()
-    ):
+    def __init__(self, scheme: FatPointScheme):
         self.scheme = scheme
         self.coords: list[tuple[Fraction | int, ...]] = [
-            tuple(int(c) if c.denominator == 1 else c for c in p.affine())
-            for p in scheme.points
-        ]
+            tuple(int(c) if c.denominator == 1 else c for c in p.affine()) for p in scheme.points]
         self.order = sorted(range(scheme.s), key=lambda j: -scheme.mults[j])
-        self.index: list[tuple[int, Exponents]] = list(index) or [
-            (j, gamma)
-            for j in self.order
-            for gamma in _jet_orders(scheme.n, scheme.mults[j] - 1)
-        ]
-        self.dim = len(self.index)
-        self.pos = {key: k for k, key in enumerate(self.index)}
+        # X_i on jet vectors times den, the common denominator of the i-th coordinates:
+        # den * p_i on the diagonal, lowerings (k, den * gamma_i, position of gamma - e_i)
+        self.denominators = [lcm(*(a[t].denominator for a in self.coords)) for t in range(scheme.n)]
+        self.index: list[tuple[int, Exponents]] = []
+        self._diagonal, self._lowering = [[] for _ in range(scheme.n)], [[] for _ in range(scheme.n)]
+        self.dim = 0
+        for j in self.order:
+            self._append(j, scheme.mults[j] - 1, 0, self.dim)
         assert self.dim == scheme.degree()
-        # X_i as a sparse map on jet vectors, scaled by the common denominator
-        # of the i-th coordinates: den * p_i on the diagonal, and lowerings
-        # (k, den * gamma_i, position of gamma - e_i) where gamma_i > 0
-        self.denominators = [
-            lcm(*(a[t].denominator for a in self.coords)) for t in range(scheme.n)
-        ]
-        self._diagonal = [
-            [int(den * self.coords[j][t]) for j, _ in self.index]
-            for t, den in enumerate(self.denominators)
-        ]
-        self._lowering = [
-            [(k, den * gamma[t], self.pos[(j, _bump(gamma, t, -1))])
-             for k, (j, gamma) in enumerate(self.index) if gamma[t]]
-            for t, den in enumerate(self.denominators)
-        ]
+
+    def fattened(self) -> JetSystem:
+        """The system of the fattened scheme that the ideal-jet sweep reads:
+        these functionals, then each point's of order m_j, in `order`.  It
+        extends these lists and checks no point again."""
+        fat = copy(self)
+        vars(fat).pop("pos", None)  # a `pos` read on this system is not the fattened one
+        fat.scheme, fat.index = self.scheme.fattening(), self.index.copy()
+        fat._diagonal = [diagonal.copy() for diagonal in self._diagonal]
+        fat._lowering = [lowering.copy() for lowering in self._lowering]
+        at = 0  # where P_j's block starts
+        for j in self.order:
+            top = comb(self.scheme.mults[j] + self.scheme.n - 1, self.scheme.n)
+            fat._append(j, self.scheme.mults[j], top, at)
+            at += top
+        assert fat.dim == fat.scheme.degree()
+        return fat
+
+    def _append(self, j: int, nu: int, start: int, at: int) -> None:
+        """Append P_j's `_jet_block(n, nu)` from position `start` on, the block starting at `at`."""
+        gammas, lowering, _ = _jet_block(self.scheme.n, nu)
+        shift = self.dim - start
+        self.index += [(j, g) for g in gammas[start:]]
+        self.dim = len(self.index)
+        for t, den in enumerate(self.denominators):
+            self._diagonal[t] += [int(den * self.coords[j][t])] * (len(gammas) - start)
+            low = lowering[t][bisect_left(lowering[t], (start,)) :]
+            self._lowering[t] += [(k + shift, den * g, q + at) for k, g, q in low]
+
+    @cached_property
+    def pos(self) -> dict[tuple[int, Exponents], int]:
+        return {key: k for k, key in enumerate(self.index)}
 
     def value(self, j: int, gamma: Exponents, beta: Exponents) -> Fraction | int:
         """The gamma-partial of the monomial X^beta at P_j."""
@@ -328,21 +354,16 @@ def span_sweep(js: JetSystem, ech: Echelon, split: int) -> tuple[HFTable, list[l
     appeared at degree d, copied when that degree ends.
 
     X_0 acts as the identity on jets, so V_d = V_{d-1} + sum_i X_i V_{d-1},
-    and since X_i V_{d-2} lies in V_{d-1} only the rows new at degree d-1
-    need shifting: the echelon rows whose pivots first appeared there.
-    They span a complement of V_{d-2} in V_{d-1}: a nonzero combination of
-    them leads at one of their pivots, and no vector of V_{d-2} does; this
-    needs echelon form only.  Each shift is scaled by the common
-    denominator of its coordinates, which keeps integer rows integral and
-    changes no span.  Once V_d = V_{d-1} the span never grows again, and
-    the jets of a fat point scheme fill every coordinate, so a degree that
-    adds no pivot before the span is full is a fault and raises
-    `StabilizationError`; every sweep ends within `ech.ncols` degrees.
-    `hf_table` runs it on the scheme, with no reduced block; the ideal-jet
-    sweep of `kaehler` runs it on the fattened scheme, with the functionals
-    of the scheme first and the echelon reduced past them.
+    and only the rows new at degree d-1 need shifting: they span a
+    complement of V_{d-2} in V_{d-1} (a nonzero combination of them leads
+    at one of their pivots, and no vector of V_{d-2} does).  Once V_d =
+    V_{d-1} the span never grows again, and the jets of a fat point scheme
+    fill every coordinate, so a degree that adds no pivot short of full
+    raises `StabilizationError`.  `hf_table` runs it on the scheme, with no
+    reduced block; the ideal-jet sweep of `kaehler` on `JetSystem.fattened`,
+    with the echelon reduced past the scheme's functionals.
     """
-    ech.insert(js.monomial_column((0,) * (js.scheme.n + 1)))
+    ech.insert([0 if any(gamma) else 1 for _, gamma in js.index])
     seen: set[int] = set()
     values: list[int] = []
     new: list[list[list[int]]] = []

@@ -13,7 +13,7 @@ from kahlerdiff.kaehler import (
     top_form_hf,
     wedge_with_differential,
 )
-from kahlerdiff.polyring import HomogPoly, parse_poly
+from kahlerdiff.polyring import HomogPoly, monomials_of_degree, parse_poly
 from kahlerdiff.schemes import FatPointScheme, ProjPoint, hf_table, hilbert_function
 
 from conftest import jets_by_partials, off_integers, random_scheme
@@ -236,6 +236,69 @@ def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
             match=f"stabilized at {d_star}, not at its local Hilbert polynomial {hp}$",
         ):
             omega_hf(s, m)
+
+
+def test_ri_is_read_back_from_the_fattening_bound():
+    """`omega_hf` finds ri by scanning back from D* against the Hilbert
+    polynomial; on the 40 random schemes above it is the stabilization
+    degree that `HFTable.from_values` reads off the values through D*."""
+    import random
+
+    from kahlerdiff.schemes import HFTable, regularity_index
+
+    rng = random.Random(3)
+    for _ in range(40):
+        s = random_scheme(rng)
+        r, r_fat = regularity_index(s), regularity_index(s.fattening())
+        for relative in (False, True):
+            for m in range(1, (s.n if relative else s.n + 1) + 1):
+                values = omega_hf_prefix(s, m, max(r + m, r_fat + m - 1), relative)
+                assert omega_hf(s, m, relative).ri == HFTable.from_values(values).stable_from
+
+
+def test_a_full_echelon_takes_no_more_rows(monkeypatch):
+    """A form table whose echelon fills all its columns before D* offers no
+    row after it fills, and no degree without new ideal-jet rows calls
+    `insert_all`; the tables still agree, degree by degree, with the
+    per-degree presentation ranked afresh by `submodule_slice`."""
+    from math import comb
+
+    from kahlerdiff import kaehler
+    from kahlerdiff.exactla import Echelon
+
+    calls = []
+
+    class Spy(Echelon):
+        def insert_all(self, vecs):
+            vecs = list(vecs)
+            calls.append((self.rank, self.ncols, len(vecs)))
+            super().insert_all(vecs)
+            calls.append((self.rank, self.ncols, None))
+
+    filled_early = 0
+    for s, m, relative in [
+        (simple(1, (1, 0), (1, 1), (1, 3), (1, -2), mults=[2, 1, 1, 2]), 2, False),
+        (simple(2, (1, 5, -7), (1, -3, 2), (1, 4, 4), mults=[2, 1, 3]), 2, True),
+        (simple(2, (1, 5, -7), (1, -3, 2), (1, 4, 4), mults=[2, 1, 3]), 3, False),
+        (simple(2, (1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), 3, False),
+    ]:
+        gj = kaehler._generator_jets(s)
+        calls.clear()
+        omega_hf.cache_clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(kaehler, "Echelon", Spy)
+            o = omega_hf(s, m, relative)
+        assert calls and all(rank < ncols and size for rank, ncols, size in calls[::2])
+        full = next(k for k, (rank, ncols, _) in enumerate(calls) if rank == ncols)
+        assert full == len(calls) - 1, (s, m, relative)
+        filled_early += len(calls) // 2 < sum(1 for rows in gj.new if rows)
+        blocks = WedgeBasis(s.n, m, relative).size
+        assert list(o.table.values) == [
+            blocks * comb(s.n + d - m, s.n) - submodule_slice(s, m, d, relative) if d >= m else 0
+            for d in range(len(o.table.values))
+        ], (s, m, relative)
+        assert (o.ri, o.hp) == (o.table.stable_from, hp_local(s, m, relative))
+    assert filled_early == 4
 
 
 def test_a_plateau_above_the_local_hp_is_refused(monkeypatch):
@@ -486,6 +549,30 @@ def test_ideal_jet_sweep_ignores_the_form_of_its_leading_block(monkeypatch):
             assert full.hf == gj.hf, s
             differ += reduced.rows != ech.rows
     assert differ
+
+
+def test_sweep_layout_read_off_the_jet_blocks():
+    """H (`top`), the top layer L (`layer`) and the place in H of each L
+    functional raised by X_t (`bumped`) equal their direct construction
+    from the functionals: H is the fattened system's order-m_j part, point
+    by point in the order of the jet system, and L the order-(m_j - 1)
+    part of the scheme's.  Mixed multiplicities, n <= 3."""
+    import random
+
+    from kahlerdiff.kaehler import _generator_jets
+
+    rng = random.Random(16180)
+    for _ in range(10):
+        s = random_scheme(rng, max_s=4, max_mult=3)
+        gj = _generator_jets(s)
+        js = gj.js
+        top = [(j, g) for j in js.order for g in sorted(monomials_of_degree(s.n, s.mults[j]))]
+        hpos = {key: k for k, key in enumerate(top)}
+        layer = [(j, g) for j, g in js.index if sum(g) == s.mults[j] - 1]
+        assert gj.top == top and gj.layer == layer and gj.width == len(layer), s
+        assert gj.bumped == [
+            [hpos[(j, g[:t] + (g[t] + 1,) + g[t + 1 :])] for j, g in layer] for t in range(s.n)
+        ], s
 
 
 def test_ideal_jet_sweep_counts():

@@ -227,6 +227,54 @@ def test_jet_evaluator_against_independent_routes():
                     assert all(type(v) is int for v in jets)
 
 
+def _direct_jet_lists(s, index):
+    """pos, the diagonals and the lowerings of the jet system of `s` on the
+    functionals `index`, built directly from them: the reference for the
+    block-built systems."""
+    from math import lcm
+
+    coords = [p.affine() for p in s.points]
+    dens = [lcm(*(a[t].denominator for a in coords)) for t in range(s.n)]
+    pos = {key: k for k, key in enumerate(index)}
+    diagonal = [[int(den * coords[j][t]) for j, _ in index] for t, den in enumerate(dens)]
+    lowering = [
+        [(k, den * g[t], pos[(j, g[:t] + (g[t] - 1,) + g[t + 1 :])])
+         for k, (j, g) in enumerate(index) if g[t]]
+        for t, den in enumerate(dens)
+    ]
+    return pos, diagonal, lowering
+
+
+def test_block_built_jet_systems_match_a_direct_construction():
+    """The jet system of a scheme and the fattened one the ideal-jet sweep
+    reads, both built from the per-(n, nu) jet blocks, have the functionals,
+    diagonals, lowerings, dimension and positions of a direct construction:
+    point by point, heaviest first, by order and sorted within an order;
+    the fattened system appends each point's order-m_j functionals.  A
+    `pos` read on the scheme's system does not leak into the fattened one.
+    Mixed multiplicities, integral and non-integral coordinates, n <= 3."""
+    from kahlerdiff.polyring import monomials_of_degree
+
+    def orders(n, lo, hi):
+        return [g for total in range(lo, hi + 1) for g in sorted(monomials_of_degree(n, total))]
+
+    rng = random.Random(27182)
+    for _ in range(10):
+        base = random_scheme(rng, max_s=4, max_mult=3)
+        for s in (base, off_integers(base)):
+            order = sorted(range(s.s), key=lambda j: -s.mults[j])
+            index = [(j, g) for j in order for g in orders(s.n, 0, s.mults[j] - 1)]
+            fat_index = index + [(j, g) for j in order for g in orders(s.n, s.mults[j], s.mults[j])]
+            js = jet_system(s)
+            assert js.dim == len(index) == s.degree()
+            assert (js.pos, js._diagonal, js._lowering) == _direct_jet_lists(s, index), s
+            fat = js.fattened()
+            assert fat.scheme == s.fattening() and fat.index == fat_index
+            assert fat.dim == len(fat_index) == s.fattening().degree()
+            assert (fat.pos, fat._diagonal, fat._lowering) == _direct_jet_lists(s, fat_index), s
+            assert js.index == index and len(js.pos) == js.dim
+
+
 def test_batched_poly_jets_against_partials():
     """One `poly_jets` call on a batch of sparse polynomials and the zero
     polynomial equals the partials of each, evaluated at the points, and
@@ -275,6 +323,19 @@ def test_ideal_slice_is_the_standard_form_basis():
                     assert all(coeffs[f] == (f == free) for f in free_cols)
                     for row, piv in zip(reduced, pivots):
                         assert coeffs[piv] == -row[free]
+
+
+def test_equal_points_compare_and_hash_equal():
+    """A point given by ints, Fractions, strings or a scaled vector is one
+    point: equal, with one hash, the hash of its normalized coordinates."""
+    given = [(1, 2, -3), (2, 4, -6), (Fraction(1, 2), 1, Fraction(-3, 2)), ("1", "2", "-3"),
+             (-5, -10, 15)]
+    points = [ProjPoint(c) for c in given]
+    for p in points:
+        assert p == points[0] and hash(p) == hash(points[0]) == hash(p.coords)
+    assert len(set(points)) == 1
+    assert ProjPoint((1, 2, 3)) != points[0]
+    assert FatPointScheme(2, points[:1], [2]).fattening().points == (points[-1],)
 
 
 def test_scheme_hash_is_cached_and_consistent():
