@@ -19,10 +19,11 @@ into one `Echelon` per table.  A table is read through the fattening bound
 D* = max(r_W + m, r_{W+1} + m - 1), where its value must be `hp_local`,
 the Hilbert polynomial from local lengths.  `schemes.hf_table` runs
 `span_sweep` on W alone, the independent route the checks hold the form
-tables against.  `submodule_slice` ranks a single degree from scratch by
-Bareiss elimination, with rows built from the polynomial minimal
-generators and the Leibniz rule; it and its literal dense-matrix path are
-the oracles the tests hold the sweep against.
+tables against.  `submodule_slice`, the oracle the tests hold the sweep
+against, ranks a single degree from scratch by Bareiss elimination, with
+rows built from the polynomial minimal generators and the Leibniz rule;
+`_dense_submodule_rank`, the literal dense matrix, is the tests' reference
+for it.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -170,9 +171,9 @@ def wedge_with_differential(
 class _GeneratorJets:
     """Top-order jets of the vanishing ideal, degree by degree.
 
-    H (`top`) is the top-order block of the fattened scheme W+1: the
-    functionals (j, gamma) with |gamma| = m_j.  J_delta, the span of the
-    H-jets of the forms in (I_W)_delta, is the whole ideal data the form
+    H is the top-order block of the fattened scheme W+1, its index past
+    W's: the functionals (j, gamma) with |gamma| = m_j.  J_delta, the span
+    of the H-jets of the forms in (I_W)_delta, is the whole ideal data the form
     tables need: for F in I_W the first partials vanish to order m_j - 1 at
     P_j, and their jets on the top layer L (`layer`) of W, |gamma| = m_j - 1,
     are read off F's H-jets by Phi_1..Phi_n (dF/dX_i at (j, gamma) is F at
@@ -196,7 +197,6 @@ class _GeneratorJets:
         n = scheme.n
         self.js = js = jet_system(scheme)
         fat = js.fattened()
-        self.top = fat.index[js.dim :]
         self.layer, self.bumped, at = [], [[] for _ in range(n)], 0  # at: P_j's start in H
         for j in js.order:
             gammas, _, raised = _jet_block(n, scheme.mults[j])
@@ -211,13 +211,6 @@ class _GeneratorJets:
         self.hf, self.new = span_sweep(fat, Echelon(fat.dim, reduced_from=js.dim), js.dim)
         self.jdims = list(accumulate(map(len, self.new)))
         self.fattened_ri = len(self.new) - 1
-
-    def new_rows(self, delta: int) -> list[list[int]]:
-        return self.new[delta] if 0 <= delta < len(self.new) else []
-
-    def jdim(self, delta: int) -> int:
-        """dim J_delta = HF_{W+1}(delta) - HF_W(delta)."""
-        return self.jdims[min(delta, len(self.jdims) - 1)] if delta >= 0 else 0
 
     def partials(self, h: Sequence[int]) -> list[list[int]]:
         """scale * (Phi_0(h), ..., Phi_n(h)): the jets on the top layer of W
@@ -327,7 +320,10 @@ def _differential_rows(
 def _dense_submodule_rank(
     scheme: FatPointScheme, m: int, d: int, relative: bool, pool: str
 ) -> int:
-    """Literal-matrix rank of (I*Omega^m + dI*Omega^{m-1})_d; small inputs only."""
+    """Literal-matrix rank of (I*Omega^m + dI*Omega^{m-1})_d, d >= m: the
+    tests' reference for `submodule_slice`, on small inputs only.  The pool
+    "slices" takes whole ideal slices as generators, any other the minimal
+    generators."""
     n = scheme.n
     basis = WedgeBasis(n, m, relative)
     cdeg = d - m
@@ -359,27 +355,15 @@ def _dense_submodule_rank(
     return rank_int(integer_rows(rows))
 
 
-def submodule_slice(
-    scheme: FatPointScheme,
-    m: int,
-    d: int,
-    relative: bool = False,
-    method: str = "fast",
-    pool: str = "minimal",
-) -> int:
+def submodule_slice(scheme: FatPointScheme, m: int, d: int, relative: bool = False) -> int:
     """dim of the degree-d slice of I_W*Omega^m + dI_W*Omega^{m-1}.
 
-    The fast path counts the full ideal block directly and ranks only the
-    differential rows in quotient (jet) coordinates; the dense path builds
-    the literal coefficient matrix.
+    The ideal block is counted directly, and only the differential rows
+    are ranked, in quotient (jet) coordinates.
     """
     _check_form_degree(scheme, m, relative)
-    if (method, pool) not in (("fast", "minimal"), ("dense", "minimal"), ("dense", "slices")):
-        raise ValueError(f"unknown method {method!r} with pool {pool!r}")
     if d - m < 0:
         return 0
-    if method == "dense":
-        return _dense_submodule_rank(scheme, m, d, relative, pool)
     basis = WedgeBasis(scheme.n, m, relative)
     cdeg = d - m
     block = basis.size * (comb(scheme.n + cdeg, scheme.n) - hilbert_function(scheme, cdeg))

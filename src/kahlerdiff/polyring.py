@@ -163,16 +163,6 @@ class HomogPoly:
         return f"HomogPoly({format_poly(self)!r})"
 
 
-def euler_sum(f: HomogPoly) -> HomogPoly:
-    """Sum of X_i * dF/dX_i; equals deg(F) * F in characteristic zero."""
-    total = HomogPoly.zero(f.nvars, f.degree)
-    for i in range(f.nvars):
-        total = total + f.partial(i).times_monomial(
-            tuple(int(j == i) for j in range(f.nvars))
-        )
-    return total
-
-
 # --- text format: `3*X0^2 - 4*X0*X1 + X1^2` ------------------------------
 
 _TERM_RE = re.compile(

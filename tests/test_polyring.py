@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kahlerdiff.polyring import (
     HomogPoly,
     degree_slice,
-    euler_sum,
     format_poly,
     monomials_of_degree,
     parse_poly,
@@ -42,6 +41,14 @@ def test_partial_examples():
     assert parse_poly("X1^3", 2).partial(0).is_zero()
     with pytest.raises(IndexError):
         f.partial(5)
+
+
+def euler_sum(f):
+    """Sum of X_i * dF/dX_i, by `HomogPoly` arithmetic."""
+    total = HomogPoly.zero(f.nvars, f.degree)
+    for i in range(f.nvars):
+        total = total + V(f.nvars, i) * f.partial(i)
+    return total
 
 
 def test_euler_relation_on_product():
