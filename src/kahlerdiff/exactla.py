@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: one elimination kernel and its oracles.
+"""Exact rational linear algebra: one elimination kernel.
 
 Every dimension count in this package comes down to a row space over Q.
 Scalars are `fractions.Fraction`; rows are scaled to integers by clearing
@@ -13,11 +13,9 @@ and the form tables, J's past W in the ideal-jet sweep, none for
 `hf_table` and `minimal_generators`.  It grows by batches, each inserted
 right to left by leading column; one back-substitution pass at the end
 of the batch clears the reduced rows at the new pivots.
-Bareiss elimination (`rank_int`, `bareiss_pivots`) ranks a whole integer
-matrix in one pass; it serves the one-shot checks (a single-degree
-`submodule_slice`, general position) and is the oracle the tests hold the
-sweeps against.
-`rref`, in rational arithmetic, is the oracle for `kernel_standard`.
+`rank` ranks a whole matrix in one batch with no row kept reduced; it
+serves the one-shot checks (a single-degree `submodule_slice`, general
+position, a singular coordinate change or conic).
 """
 
 from __future__ import annotations
@@ -43,92 +41,14 @@ def integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     return [_clear_row_denominators(row) for row in rows]
 
 
-def _bareiss(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of an integer matrix by fraction-free Bareiss elimination.
-
-    Pivots are chosen of smallest nonzero magnitude in the current column;
-    all divisions are exact.  The input is consumed.
-    """
-    if not rows or not rows[0]:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv, best = -1, 0
-        for i in range(r, nrows):
-            a = rows[i][c]
-            if a and (piv < 0 or abs(a) < best):
-                piv, best = i, abs(a)
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pc = prow[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            ric = row[c]
-            if ric:
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * pc - ric * prow[j]) // prev
-                row[c] = 0
-            else:
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * pc) // prev
-        prev = pc
-        pivots.append(c)
-    return pivots
-
-
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix (Bareiss elimination).  The input is consumed."""
-    return len(_bareiss(rows))
-
-
-def bareiss_pivots(rows: list[list[int]]) -> tuple[int, list[int]]:
-    """Rank and pivot columns of an integer matrix (Bareiss elimination).
-
-    The non-pivot columns index a coordinate complement of the row space.
-    The input is consumed.
-    """
-    pivots = _bareiss(rows)
-    return len(pivots), pivots
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over `Fraction`; returns (nonzero rows, pivot
-    columns).
-
-    Test oracle only: no library code calls it.  The tests compare
-    `kernel_standard`, which runs on `Echelon`, against the basis read off
-    this form.
-    """
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row = work[i]
-                prow = work[r]
-                work[i] = [a - f * b for a, b in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+def rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
+    """Rank over Q of rational rows: their denominators cleared row by row,
+    they go into one `Echelon` as a single batch, with no row kept reduced."""
+    rows = integer_rows(rows)
+    ncols = len(rows[0]) if rows else 0
+    ech = Echelon(ncols, reduced_from=ncols)
+    ech.insert_all(rows)
+    return ech.rank
 
 
 def kernel_standard(

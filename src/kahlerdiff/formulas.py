@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from .exactla import integer_rows, rank_int
+from .exactla import rank
 from .kaehler import _check_form_degree, hp_local, omega_hf
 from .polyring import HomogPoly
 from .schemes import (
@@ -176,7 +176,7 @@ def is_general_position(scheme: FatPointScheme) -> bool:
         return True
     for subset in combinations(scheme.points, n + 1):
         rows = [list(p.coords) for p in subset]
-        if rank_int(integer_rows(rows)) < n + 1:
+        if rank(rows) < n + 1:
             return False
     return True
 
@@ -286,7 +286,7 @@ def _conic_is_singular(conic: HomogPoly) -> bool:
             mat[i][i] = coeff
         else:
             mat[i][j] = mat[j][i] = coeff / 2
-    return rank_int(integer_rows(mat)) < 3
+    return rank(mat) < 3
 
 
 def conic_regularity_index(mults: Sequence[int]) -> int:

@@ -20,10 +20,9 @@ D* = max(r_W + m, r_{W+1} + m - 1), where its value must be `hp_local`,
 the Hilbert polynomial from local lengths.  `schemes.hf_table` runs
 `span_sweep` on W alone, the independent route the checks hold the form
 tables against.  `submodule_slice`, the oracle the tests hold the sweep
-against, ranks a single degree from scratch by Bareiss elimination, with
-rows built from the polynomial minimal generators and the Leibniz rule;
-`_dense_submodule_rank`, the literal dense matrix, is the tests' reference
-for it.
+against, ranks a single degree from scratch, in one `exactla.rank` batch,
+with rows built from the polynomial minimal generators and the Leibniz
+rule.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -38,7 +37,7 @@ from itertools import accumulate, combinations, count, islice, product
 from math import comb, lcm
 from typing import Iterator, Sequence
 
-from .exactla import Echelon, integer_rows, rank_int
+from .exactla import Echelon, rank
 from .polyring import Exponents, HomogPoly, degree_slice
 from .schemes import (
     SCHEMES_KEPT,
@@ -47,11 +46,8 @@ from .schemes import (
     StabilizationError,
     _jet_block,
     hilbert_function,
-    ideal_slice,
-    initial_degree,
     jet_system,
     minimal_generators,
-    regularity_index,
     span_sweep,
 )
 
@@ -317,44 +313,6 @@ def _differential_rows(
     return rows
 
 
-def _dense_submodule_rank(
-    scheme: FatPointScheme, m: int, d: int, relative: bool, pool: str
-) -> int:
-    """Literal-matrix rank of (I*Omega^m + dI*Omega^{m-1})_d, d >= m: the
-    tests' reference for `submodule_slice`, on small inputs only.  The pool
-    "slices" takes whole ideal slices as generators, any other the minimal
-    generators."""
-    n = scheme.n
-    basis = WedgeBasis(n, m, relative)
-    cdeg = d - m
-    ncoef = comb(n + cdeg, n)
-    rows: list[list[Fraction]] = []
-    members = ideal_slice(scheme, cdeg)
-    for k in range(basis.size):
-        for v in members:
-            row = [Fraction(0)] * (basis.size * ncoef)
-            row[k * ncoef : (k + 1) * ncoef] = v.coeff_vector()
-            rows.append(row)
-    if pool == "slices":  # a redundant generating set: whole slices, degrees alpha..r+1
-        gens = [g for delta in range(initial_degree(scheme), regularity_index(scheme) + 2)
-                for g in ideal_slice(scheme, delta)]
-    else:
-        gens = [g for _, batch in sorted(minimal_generators(scheme).items()) for g in batch]
-    for g in gens:
-        delta = d - m - g.degree + 1
-        if delta < 0:
-            continue
-        for J in combinations(basis.indices, m - 1):
-            form = wedge_with_differential(g, J, relative)
-            if form.is_zero():
-                continue
-            for alpha in degree_slice(n, delta):
-                rows.append(form.times_monomial(alpha).coeff_vector())
-    if not rows:
-        return 0
-    return rank_int(integer_rows(rows))
-
-
 def submodule_slice(scheme: FatPointScheme, m: int, d: int, relative: bool = False) -> int:
     """dim of the degree-d slice of I_W*Omega^m + dI_W*Omega^{m-1}.
 
@@ -367,9 +325,7 @@ def submodule_slice(scheme: FatPointScheme, m: int, d: int, relative: bool = Fal
     basis = WedgeBasis(scheme.n, m, relative)
     cdeg = d - m
     block = basis.size * (comb(scheme.n + cdeg, scheme.n) - hilbert_function(scheme, cdeg))
-    rows = _differential_rows(scheme, m, d, relative)
-    extra = rank_int(integer_rows(rows)) if rows else 0
-    return block + extra
+    return block + rank(_differential_rows(scheme, m, d, relative))
 
 
 # --- Hilbert functions of the form modules ---------------------------------
@@ -464,9 +420,9 @@ def hp_local(scheme: FatPointScheme, m: int, relative: bool = False) -> int:
     n, total = scheme.n, 0
     for nu in scheme.mults:
         if (local := _LOCAL_HP.get((n, nu, m, relative))) is None:
-            rank = sum((-1) ** (k - 1 - i) * comb(n, i) * comb(nu + k - i + n - 2, n - 1)
-                       for k in ((m,) if relative else (m, m - 1)) if k <= n for i in range(k))
-            local = comb(n if relative else n + 1, m) * comb(nu + n - 1, n) - rank
+            rho = sum((-1) ** (k - 1 - i) * comb(n, i) * comb(nu + k - i + n - 2, n - 1)
+                      for k in ((m,) if relative else (m, m - 1)) if k <= n for i in range(k))
+            local = comb(n if relative else n + 1, m) * comb(nu + n - 1, n) - rho
             _LOCAL_HP[n, nu, m, relative] = local
         total += local
     return total

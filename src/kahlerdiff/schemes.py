@@ -23,7 +23,7 @@ from itertools import product
 from math import comb, lcm, perm
 from typing import Iterable, Sequence
 
-from .exactla import Echelon, integer_rows, kernel_standard, rank_int
+from .exactla import Echelon, kernel_standard, rank
 from .polyring import Exponents, HomogPoly, degree_slice, monomials_of_degree
 
 __all__ = [
@@ -522,7 +522,7 @@ def apply_coordinate_change(
     rows = [[Fraction(x) for x in row] for row in matrix]
     if len(rows) != size or any(len(r) != size for r in rows):
         raise ValueError(f"matrix must be {size}x{size}")
-    if rank_int(integer_rows(rows)) != size:
+    if rank(rows) != size:
         raise ValueError("coordinate change matrix is singular")
     new_points = []
     for p in scheme.points:

