@@ -9,10 +9,10 @@ integer kernel bases off, with no `Fraction` built, and whose pivot
 columns pick the minimal generators.
 It keeps reduced only the rows from a block boundary on, the only rows a
 caller reads beyond rank and pivots: all of them for `kernel_standard`
-and the form tables, J's past W in the ideal-jet sweep, none for
-`hf_table` and `minimal_generators`.  It grows by batches, each inserted
-right to left by leading column; one back-substitution pass at the end
-of the batch clears the reduced rows at the new pivots.
+and the form tables, J's past W in the ideal-jet sweep (which also
+counts HF_W), none for `minimal_generators`.  It grows by batches, each
+inserted right to left by leading column; one back-substitution pass at
+the end of the batch clears the reduced rows at the new pivots.
 `rank` ranks a whole matrix in one batch with no row kept reduced; it
 serves the one-shot checks (a single-degree `submodule_slice`, general
 position, a singular coordinate change or conic).

@@ -24,6 +24,7 @@ from .schemes import (
     FatPointScheme,
     HFTable,
     ProjPoint,
+    _generator_jets,
     hf_table,
     hilbert_function,
     minimal_generators,
@@ -193,7 +194,7 @@ def ri_bounds(scheme: FatPointScheme, m: int) -> int:
     r = regularity_index(scheme)
     if scheme.reduced:
         return min(2 * r + m, 2 * r + n)
-    rv = regularity_index(scheme.fattening())
+    rv = _generator_jets(scheme).fattened_ri  # r_V, V = W+1, off W's own sweep
     bound = min(max(r + m, rv + m - 1), max(r + n, rv + n - 1))
     if scheme.s >= 2 and is_general_position(scheme):
         mm = sorted(scheme.mults)
@@ -479,15 +480,13 @@ def _conic_hf_two_forms(spec: ConicSchemeSpec) -> HFTable:
 
 def complex_inequality_rhs(scheme: FatPointScheme, i: int) -> int:
     """Lower bound for HF_{Omega^2}(i+2) from the four-term complex linking
-    the scheme to its first and second fattenings."""
+    the scheme to its first and second fattenings; HF_{V+1} - HF_V is dim J
+    of V's own sweep, so W+2 is not swept."""
     n = scheme.n
-    w1 = scheme.fattening(1)
-    w2 = scheme.fattening(2)
     return (
         n * (n + 1) // 2 * hilbert_function(scheme, i)
-        + hilbert_function(w2, i + 2)
-        - hilbert_function(w1, i + 2)
-        - (n + 1) * (hilbert_function(w1, i + 1) - hilbert_function(scheme, i + 1))
+        + _generator_jets(scheme.fattening()).jdim(i + 2)
+        - (n + 1) * _generator_jets(scheme).jdim(i + 1)
     )
 
 

@@ -12,17 +12,16 @@ d the differential part is {dF ^ dX_J : F in (I_W)_{d-m+1}}, and the first
 partials of an ideal element F are fixed by its top-order jets, those of
 order m_j at P_j.
 
-One ideal-jet sweep per scheme (`_GeneratorJets`) grows J_delta, the span
-of those jets over (I_W)_delta, and yields HF_W, r_W and r_{W+1}.  One
+One ideal-jet sweep per scheme (`schemes._GeneratorJets`) grows J_delta,
+the span of those jets over (I_W)_delta, and yields HF_W, r_W and
+r_{W+1}; `schemes.hf_table` is its HF_W, so no scheme is swept twice.  One
 generator, `_form_values`, feeds every table: it maps the rows new in J
 into one `Echelon` per table.  A table is read through the fattening bound
 D* = max(r_W + m, r_{W+1} + m - 1), where its value must be `hp_local`,
-the Hilbert polynomial from local lengths.  `schemes.hf_table` runs
-`span_sweep` on W alone, the independent route the checks hold the form
-tables against.  `submodule_slice`, the oracle the tests hold the sweep
-against, ranks a single degree from scratch, in one `exactla.rank` batch,
-with rows built from the polynomial minimal generators and the Leibniz
-rule.
+the Hilbert polynomial from local lengths.  `submodule_slice`, the oracle
+the tests hold the sweep against, ranks a single degree from scratch, in
+one `exactla.rank` batch, with rows built from the polynomial minimal
+generators and the Leibniz rule.
 
 The relative variant (forms over K[x_0]) drops dX_0: wedge subsets come
 from {1..n} and the differential loses its X_0 component.
@@ -33,22 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import accumulate, combinations, count, islice, product
-from math import comb, lcm
+from itertools import combinations, count, islice
+from math import comb
 from typing import Iterator, Sequence
 
 from .exactla import Echelon, rank
 from .polyring import Exponents, HomogPoly, degree_slice
-from .schemes import (
+from .schemes import (  # _GeneratorJets is bound here too, where benchmark/tracing.py wraps it
     SCHEMES_KEPT,
     FatPointScheme,
     HFTable,
     StabilizationError,
-    _jet_block,
+    _generator_jets,
+    _GeneratorJets,
     hilbert_function,
-    jet_system,
     minimal_generators,
-    span_sweep,
 )
 
 __all__ = [
@@ -162,93 +160,6 @@ def wedge_with_differential(
     return ExteriorForm(basis, coeffs)
 
 
-# --- the ideal-jet sweep --------------------------------------------------
-
-class _GeneratorJets:
-    """Top-order jets of the vanishing ideal, degree by degree.
-
-    H is the top-order block of the fattened scheme W+1, its index past
-    W's: the functionals (j, gamma) with |gamma| = m_j.  J_delta, the span
-    of the H-jets of the forms in (I_W)_delta, is the whole ideal data the form
-    tables need: for F in I_W the first partials vanish to order m_j - 1 at
-    P_j, and their jets on the top layer L (`layer`) of W, |gamma| = m_j - 1,
-    are read off F's H-jets by Phi_1..Phi_n (dF/dX_i at (j, gamma) is F at
-    (j, gamma + e_i), at `bumped[i - 1]` in H), and Phi_0 = -sum_i p_i Phi_i
-    by the Euler relation.  H and L run point by point in the order of the
-    jet system and are read off the points' `_jet_block`s.
-
-    One `span_sweep` on `JetSystem.fattened` grows the jets of S_delta in
-    one echelon, reduced from deg W on.  A row pivoting past W's columns
-    vanishes on W, so it is the jet of an ideal element; these rows are the
-    reduced basis of J_delta.  new[delta] keeps, cut to H, the rows past W
-    whose pivots first appeared at delta: they span a complement of
-    J_{delta-1} in J_delta.  The sweep ends where the echelon fills, at
-    r_{W+1}, kept as `fattened_ri` (this is Buchberger-Moeller in jet form).
-    The rows pivoting on W's columns number HF_W(delta), and the others dim
-    J_delta, kept in `jdims`; since r_W <= r_{W+1}, `hf` holds HF_W as a
-    table, and the form tables never run `hf_table`.
-    """
-
-    def __init__(self, scheme: FatPointScheme):
-        n = scheme.n
-        self.js = js = jet_system(scheme)
-        fat = js.fattened()
-        self.layer, self.bumped, at = [], [[] for _ in range(n)], 0  # at: P_j's start in H
-        for j in js.order:
-            gammas, _, raised = _jet_block(n, scheme.mults[j])
-            top = comb(scheme.mults[j] + n - 1, n)  # where order m_j starts in the block
-            self.layer += [(j, g) for g in gammas[top - len(raised[0]) : top]]
-            for bumped, up in zip(self.bumped, raised):
-                bumped += [at + k for k in up]
-            at += len(gammas) - top
-        self.width = len(self.layer)
-        self.scale = scale = lcm(*js.denominators)
-        self.layer_coords = [[int(scale * js.coords[j][t]) for j, _ in self.layer] for t in range(n)]
-        self.hf, self.new = span_sweep(fat, Echelon(fat.dim, reduced_from=js.dim), js.dim)
-        self.jdims = list(accumulate(map(len, self.new)))
-        self.fattened_ri = len(self.new) - 1
-
-    def partials(self, h: Sequence[int]) -> list[list[int]]:
-        """scale * (Phi_0(h), ..., Phi_n(h)): the jets on the top layer of W
-        of dF/dX_0, ..., dF/dX_n for an ideal element F with H-jets h, times
-        the common denominator of the coordinates, so that they are integer
-        vectors; a common factor changes no span."""
-        parts = [[h[k] for k in bumped] for bumped in self.bumped]
-        x0_part = [0] * self.width
-        for coords, part in zip(self.layer_coords, parts):
-            x0_part = [s - a * x for s, a, x in zip(x0_part, coords, part)]
-        if self.scale != 1:
-            parts = [[self.scale * x for x in part] for part in parts]
-        return [x0_part, *parts]
-
-    def product_jets(self, alpha: Exponents, hjets: Sequence[Fraction | int]) -> list[Fraction | int]:
-        """Jet vector on the scheme of X^alpha * H from the jet vector of H,
-        by the Leibniz rule, which keeps the per-degree oracle route of
-        `submodule_slice` independent of the shifts of the sweeps."""
-        out = []
-        cache: dict[tuple[int, Exponents], Fraction | int] = {}
-        for j, gamma in self.js.index:
-            total = 0
-            for gp in product(*(range(min(g, a) + 1) for g, a in zip(gamma, alpha[1:]))):
-                key = (j, gp)
-                mono_val = cache.get(key)
-                if mono_val is None:
-                    mono_val = cache[key] = self.js.value(j, gp, alpha)
-                if mono_val:
-                    rest = tuple(a - b for a, b in zip(gamma, gp))
-                    hval = hjets[self.js.pos[(j, rest)]]
-                    if hval:
-                        binom = 1
-                        for a, b in zip(gamma, gp):
-                            binom *= comb(a, b)
-                        total += binom * mono_val * hval
-            out.append(total)
-        return out
-
-
-_generator_jets = lru_cache(maxsize=SCHEMES_KEPT)(_GeneratorJets)
-
-
 @lru_cache(maxsize=SCHEMES_KEPT)
 def _polynomial_partial_jets(
     scheme: FatPointScheme,
@@ -258,7 +169,7 @@ def _polynomial_partial_jets(
     data with the sweep.  The partials are taken by polynomial calculus and
     their jets on the scheme come from one `poly_jets` call per generator.
     Cached per scheme, since a caller walks degrees (verify's top form)."""
-    js = jet_system(scheme)
+    js = _generator_jets(scheme).js
     return [
         (delta, js.poly_jets([g.partial(i) for i in range(scheme.n + 1)]))
         for delta, batch in sorted(minimal_generators(scheme).items())
@@ -374,10 +285,10 @@ def _form_values(scheme: FatPointScheme, m: int, relative: bool) -> Iterator[int
     basis = WedgeBasis(scheme.n, m, relative)
     blocks = basis.size
     gj = _generator_jets(scheme)
-    hf, new, jdims = gj.hf, gj.new, gj.jdims
+    hf, new = gj.hf, gj.new
     if m == 1:
         for d in count():
-            yield blocks * hf.value(d - 1) - jdims[min(d, len(jdims) - 1)]
+            yield blocks * hf.value(d - 1) - gj.jdim(d)
     w = gj.width
     tpos = {T: slice(k * w, (k + 1) * w) for k, T in enumerate(reversed(basis.subsets))}
     terms = [

@@ -19,7 +19,7 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import comb, lcm, perm
 from typing import Iterable, Sequence
 
@@ -54,8 +54,8 @@ class CoordinateAssumptionError(ValueError):
 
 
 class StabilizationError(RuntimeError):
-    """A Hilbert table did not stabilize where it provably must: a jet
-    sweep stopped growing short of full (`span_sweep`), or a form table
+    """A Hilbert table did not stabilize where it provably must: the jet
+    sweep stopped growing short of full (`_GeneratorJets`), or a form table
     took, at the fattening bound D* = max(r_W + m, r_{W+1} + m - 1), a
     value other than its Hilbert polynomial from local lengths
     (`kaehler.hp_local`).  Each means a fault in the engine, not a hard
@@ -153,6 +153,10 @@ class FatPointScheme:
         return FatPointScheme(self.n, [p for p, _ in kept], [m for _, m in kept])
 
     def with_mults(self, mults: Sequence[int]) -> "FatPointScheme":
+        """The scheme on these points with new multiplicities, one a point;
+        a point of multiplicity 0 is dropped."""
+        if len(mults) != self.s or any(m < 0 for m in mults):
+            raise ValueError(f"need {self.s} nonnegative multiplicities, got {list(mults)}")
         kept = [(p, m) for p, m in zip(self.points, mults) if m > 0]
         if not kept:
             raise ValueError("all multiplicities vanished")
@@ -342,65 +346,135 @@ class JetSystem:
         return out
 
 
-jet_system = lru_cache(maxsize=SCHEMES_KEPT)(JetSystem)
+# --- the ideal-jet sweep, and the Hilbert function ------------------------
 
+class _GeneratorJets:
+    """The one jet sweep of a scheme W: the Hilbert function of W and the
+    top-order jets of its vanishing ideal, degree by degree.
 
-def span_sweep(js: JetSystem, ech: Echelon, split: int) -> tuple[HFTable, list[list[list[int]]]]:
-    """Grow in `ech`, for d = 0, 1, 2, ..., the span V_d of the jets of all
-    forms of degree d, from the jet of 1, until V_d fills all `ech.ncols`
-    columns, and return (hf, new): hf tabulates the number of pivots before
-    column `split` in each degree, and new[d] holds, cut to the columns
-    from `split` on, the rows that pivot there and whose pivots first
-    appeared at degree d, copied when that degree ends.
+    H is the top-order block of the fattened scheme W+1, its index past
+    W's: the functionals (j, gamma) with |gamma| = m_j.  J_delta, the span
+    of the H-jets of the forms in (I_W)_delta, is the whole ideal data the form
+    tables need: for F in I_W the first partials vanish to order m_j - 1 at
+    P_j, and their jets on the top layer L (`layer`) of W, |gamma| = m_j - 1,
+    are read off F's H-jets by Phi_1..Phi_n (dF/dX_i at (j, gamma) is F at
+    (j, gamma + e_i), at `bumped[i - 1]` in H), and Phi_0 = -sum_i p_i Phi_i
+    by the Euler relation.  H and L run point by point in the order of the
+    jet system and are read off the points' `_jet_block`s.
 
-    X_0 acts as the identity on jets, so V_d = V_{d-1} + sum_i X_i V_{d-1},
-    and only the rows new at degree d-1 need shifting: they span a
-    complement of V_{d-2} in V_{d-1} (a nonzero combination of them leads
-    at one of their pivots, and no vector of V_{d-2} does).  Once V_d =
-    V_{d-1} the span never grows again, and the jets of a fat point scheme
-    fill every coordinate, so a degree that adds no pivot short of full
-    raises `StabilizationError`.  `hf_table` runs it on the scheme, with no
-    reduced block; the ideal-jet sweep of `kaehler` on `JetSystem.fattened`,
-    with the echelon reduced past the scheme's functionals.
+    The sweep grows, for delta = 0, 1, 2, ..., the span V_delta of the jets
+    on W+1 (`JetSystem.fattened`) of all forms of degree delta, from the jet
+    of 1, in one echelon reduced from deg W on.  X_0 acts as the identity
+    on jets, so V_delta = V_{delta-1} + sum_i X_i V_{delta-1}, and only the
+    rows new at delta - 1 need shifting: they span a complement of
+    V_{delta-2} in V_{delta-1} (a nonzero combination of them leads at one
+    of their pivots, and no vector of V_{delta-2} does).  A row pivoting
+    past W's columns vanishes on W, so it is the jet of an ideal element;
+    these rows are the reduced basis of J_delta.  new[delta] keeps, cut to
+    H, the rows past W whose pivots first appeared at delta: they span a
+    complement of J_{delta-1} in J_delta.  The rows pivoting on W's columns
+    number HF_W(delta), and the others dim J_delta, kept in `jdims`.  The
+    sweep ends where the echelon fills, at r_{W+1}, kept as `fattened_ri`
+    (this is Buchberger-Moeller in jet form); since r_W <= r_{W+1}, `hf`
+    holds HF_W as a whole table.  Once V_delta = V_{delta-1} the span never
+    grows again, and the jets of a fat point scheme fill every coordinate,
+    so a degree that adds no pivot short of full raises
+    `StabilizationError`.
     """
-    ech.insert([0 if any(gamma) else 1 for _, gamma in js.index])
-    seen: set[int] = set()
-    values: list[int] = []
-    new: list[list[list[int]]] = []
-    while True:
-        fresh = [(p, row) for p, row in zip(ech.pivots, ech.rows) if p not in seen]
-        if not fresh:
-            raise StabilizationError(
-                "Hilbert function failed to stabilize: the jet span stopped "
-                f"growing at degree {len(values)}, short of its {ech.ncols} columns"
-            )
-        values.append(bisect_left(ech.pivots, split))
-        new.append([row[split:] for p, row in fresh if p >= split])
-        if ech.rank == ech.ncols:
-            k = values.index(values[-1])
-            return HFTable(tuple(values[: k + 1]), k, values[-1]), new
-        seen.update(p for p, _ in fresh)
-        ech.insert_all(
-            js.shift_by_variable(row, i)
-            for _, row in fresh
-            for i in range(1, js.scheme.n + 1)
-        )
+
+    def __init__(self, scheme: FatPointScheme):
+        n = scheme.n
+        self.js = js = JetSystem(scheme)
+        fat = js.fattened()
+        self.layer, self.bumped, at = [], [[] for _ in range(n)], 0  # at: P_j's start in H
+        for j in js.order:
+            gammas, _, raised = _jet_block(n, scheme.mults[j])
+            top = comb(scheme.mults[j] + n - 1, n)  # where order m_j starts in the block
+            self.layer += [(j, g) for g in gammas[top - len(raised[0]) : top]]
+            for bumped, up in zip(self.bumped, raised):
+                bumped += [at + k for k in up]
+            at += len(gammas) - top
+        self.width = len(self.layer)
+        self.scale = scale = lcm(*js.denominators)
+        self.layer_coords = [[int(scale * js.coords[j][t]) for j, _ in self.layer] for t in range(n)]
+        ech = Echelon(fat.dim, reduced_from=js.dim)
+        ech.insert([0 if any(gamma) else 1 for _, gamma in fat.index])
+        seen: set[int] = set()
+        values: list[int] = []
+        self.new: list[list[list[int]]] = []
+        while True:
+            fresh = [(p, row) for p, row in zip(ech.pivots, ech.rows) if p not in seen]
+            if not fresh:
+                raise StabilizationError(
+                    "Hilbert function failed to stabilize: the jet span stopped "
+                    f"growing at degree {len(values)}, short of its {ech.ncols} columns"
+                )
+            values.append(bisect_left(ech.pivots, js.dim))
+            self.new.append([row[js.dim :] for p, row in fresh if p >= js.dim])
+            if ech.rank == ech.ncols:
+                break
+            seen.update(p for p, _ in fresh)
+            ech.insert_all(fat.shift_by_variable(row, i) for _, row in fresh for i in range(1, n + 1))
+        r = values.index(js.dim)
+        self.hf = HFTable(tuple(values[: r + 1]), r, js.dim)
+        self.jdims = list(accumulate(map(len, self.new)))
+        self.fattened_ri = len(self.new) - 1
+
+    def jdim(self, delta: int) -> int:
+        """dim J_delta = HF_{W+1}(delta) - HF_W(delta), constant from r_{W+1} on."""
+        return self.jdims[min(delta, len(self.jdims) - 1)] if delta >= 0 else 0
+
+    def partials(self, h: Sequence[int]) -> list[list[int]]:
+        """scale * (Phi_0(h), ..., Phi_n(h)): the jets on the top layer of W
+        of dF/dX_0, ..., dF/dX_n for an ideal element F with H-jets h, times
+        the common denominator of the coordinates, so that they are integer
+        vectors; a common factor changes no span."""
+        parts = [[h[k] for k in bumped] for bumped in self.bumped]
+        x0_part = [0] * self.width
+        for coords, part in zip(self.layer_coords, parts):
+            x0_part = [s - a * x for s, a, x in zip(x0_part, coords, part)]
+        if self.scale != 1:
+            parts = [[self.scale * x for x in part] for part in parts]
+        return [x0_part, *parts]
+
+    def product_jets(self, alpha: Exponents, hjets: Sequence[Fraction | int]) -> list[Fraction | int]:
+        """Jet vector on the scheme of X^alpha * H from the jet vector of H,
+        by the Leibniz rule, which keeps the per-degree oracle route of
+        `kaehler.submodule_slice` independent of the shifts of the sweep."""
+        out = []
+        cache: dict[tuple[int, Exponents], Fraction | int] = {}
+        for j, gamma in self.js.index:
+            total = 0
+            for gp in product(*(range(min(g, a) + 1) for g, a in zip(gamma, alpha[1:]))):
+                key = (j, gp)
+                mono_val = cache.get(key)
+                if mono_val is None:
+                    mono_val = cache[key] = self.js.value(j, gp, alpha)
+                if mono_val:
+                    rest = tuple(a - b for a, b in zip(gamma, gp))
+                    hval = hjets[self.js.pos[(j, rest)]]
+                    if hval:
+                        binom = 1
+                        for a, b in zip(gamma, gp):
+                            binom *= comb(a, b)
+                        total += binom * mono_val * hval
+            out.append(total)
+        return out
 
 
-# --- Hilbert function -----------------------------------------------------
+_generator_jets = lru_cache(maxsize=SCHEMES_KEPT)(_GeneratorJets)
 
-@lru_cache(maxsize=SCHEMES_KEPT)
+
 def hf_table(scheme: FatPointScheme) -> HFTable:
-    """Hilbert function of R_W, computed in one degree-by-degree sweep.
+    """Hilbert function of R_W, read off the scheme's ideal-jet sweep.
 
     HF_W(d) is the dimension of the span of the jets of all forms of
-    degree d, which `span_sweep` grows from the jet of 1 at degree 0, in
-    an echelon that is never reduced, since only its rank is read.  The
-    sweep ends at the first degree where that span fills all deg(W) jet
-    coordinates, which is exactly the regularity index.
+    degree d, which the sweep (`_GeneratorJets`) counts in every degree
+    through r_{W+1} >= r_W.  The table is stable from the first degree
+    where that span fills all deg(W) jet coordinates, which is exactly the
+    regularity index.
     """
-    js = jet_system(scheme)
-    return span_sweep(js, Echelon(js.dim, reduced_from=js.dim), js.dim)[0]
+    return _generator_jets(scheme).hf
 
 
 def hilbert_function(scheme: FatPointScheme, d: int) -> int:
@@ -431,7 +505,7 @@ def _slice_data(scheme: FatPointScheme, d: int) -> tuple[tuple[list[int], ...], 
     """
     if d < 0:
         return (), ()
-    js = jet_system(scheme)
+    js = _generator_jets(scheme).js
     monos = degree_slice(scheme.n, d)
     rows = [[js.value(j, gamma, beta) for beta in monos] for (j, gamma) in js.index]
     basis, free_cols = kernel_standard(rows, ncols=len(monos))

@@ -3,9 +3,11 @@
 Each ranks a matrix by an elimination that shares no code with the
 library's one kernel, `kahlerdiff.exactla.Echelon`: fraction-free Bareiss
 elimination, which ranks a whole integer matrix in one pass, and the
-rational reduced row echelon form `rref`.  `dense_submodule_rank` builds
-the literal dense matrix of one degree of the form-module presentation
-and ranks it by Bareiss.  They are meant for small inputs only.
+rational reduced row echelon form `rref`.  `jet_matrix_hf` ranks the
+literal jet matrix of a scheme degree by degree, by Bareiss, with no
+sweep.  `dense_submodule_rank` builds the literal dense matrix of one
+degree of the form-module presentation and ranks it by Bareiss.  They
+are meant for small inputs only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from kahlerdiff.kaehler import WedgeBasis, wedge_with_differential
 from kahlerdiff.polyring import degree_slice
 from kahlerdiff.schemes import (
     FatPointScheme,
+    HFTable,
+    JetSystem,
     ideal_slice,
     initial_degree,
     minimal_generators,
@@ -103,6 +107,19 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if r == len(work):
             break
     return work[:r], pivots
+
+
+def jet_matrix_hf(scheme: FatPointScheme) -> HFTable:
+    """HF_W as a table, from the literal jet matrix: HF_W(d) is the Bareiss
+    rank of the values of every jet functional of W on the monomials of
+    degree d.  HF_W rises strictly until it reaches deg W, at r_W, and is
+    constant from there on, so the degrees stop there."""
+    js = JetSystem(scheme)
+    values: list[int] = []
+    while not values or values[-1] < js.dim:
+        columns = [js.monomial_column(beta) for beta in degree_slice(scheme.n, len(values))]
+        values.append(bareiss_rank(zip(*columns)))
+    return HFTable.from_values(values)
 
 
 def dense_submodule_rank(

@@ -1,18 +1,20 @@
 """The benchmark under benchmark/ reads this package from outside: it wraps
 the entry points named in its tracing table and reads their arguments and
-results.  These checks keep those names and shapes resolvable; they only
-read the benchmark's files."""
+results.  These checks keep those names and shapes resolvable; they write
+no file of the benchmark, and install its tracer only in a child process."""
 
 import importlib
 import importlib.util
+import json
 from fractions import Fraction
-from pathlib import Path
 
 from kahlerdiff.exactla import Echelon
 from kahlerdiff.kaehler import omega_hf, omega_hf_prefix, top_form_hf
 from kahlerdiff.schemes import FatPointScheme, ProjPoint
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+from conftest import ROOT, run_python
+
+TRACING = ROOT / "benchmark" / "tracing.py"
 
 
 def _tracing():
@@ -38,6 +40,21 @@ def test_every_layer_entry_point_resolves():
         if not callable(target):
             missing.append(f"{module}.{attr}")
     assert sorted(missing) == sorted(GONE)
+
+
+def test_the_tracer_reports_every_per_layer_metric():
+    """The tracer leaves out, silently, a metric none of whose entry points
+    resolves, so a renamed or moved entry point would drop a metric from
+    the benchmark's report.  Installed in a child process, which keeps this
+    one unwrapped, it reports every `per_layer` name of BENCHMARK.json but
+    the two `trace.*` names that run.py adds from its untraced pass."""
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import tracing; "
+            "tracer = tracing.Tracer(); tracer.install(); print(json.dumps(sorted(tracer.metrics())))")
+    proc = run_python("-c", code, str(TRACING.parent))
+    assert proc.returncode == 0, proc.stderr
+    added_by_run = {"trace.overhead_s", "trace.base_wall_s"}
+    assert sorted(declared - added_by_run - set(json.loads(proc.stdout))) == []
 
 
 def test_echelon_insert_returns_bool():

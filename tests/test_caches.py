@@ -51,8 +51,8 @@ def per_scheme_caches() -> dict:
 
 def test_the_per_scheme_caches_are_the_expected_ones():
     assert set(per_scheme_caches()) == {
-        "jet_system", "hf_table", "_slice_data", "minimal_generators",
-        "_generator_jets", "_polynomial_partial_jets", "omega_hf", "is_general_position",
+        "_slice_data", "minimal_generators", "_generator_jets",
+        "_polynomial_partial_jets", "omega_hf", "is_general_position",
     }
 
 
@@ -63,7 +63,7 @@ def test_every_cache_stays_within_its_bound():
         info = cached.cache_info()
         assert info.maxsize is not None and info.maxsize % SCHEMES_KEPT == 0, name
         assert info.currsize <= info.maxsize, name
-    for cached in (schemes.jet_system, hf_table, minimal_generators, kaehler._generator_jets,
+    for cached in (minimal_generators, schemes._generator_jets,
                    kaehler._polynomial_partial_jets, formulas.is_general_position):
         assert cached.cache_info().currsize == SCHEMES_KEPT
 

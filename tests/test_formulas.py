@@ -31,6 +31,7 @@ from kahlerdiff.schemes import FatPointScheme, ProjPoint, hf_table, hilbert_func
 from kahlerdiff.verify import load_scheme
 
 from conftest import random_scheme
+from oracles import jet_matrix_hf
 
 
 def simple(n, *coords_list, mults=None):
@@ -270,6 +271,24 @@ def test_complex_inequality_reduced_plane_points():
     s = simple(2, (1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 3))
     for i in range(8):
         assert complex_inequality(s, i)
+
+
+def test_complex_inequality_rhs_against_the_jet_matrices():
+    """The right side reads HF_{W+1} - HF_W and HF_{W+2} - HF_{W+1} off the
+    sweeps of W and W+1; held against the Hilbert functions of the literal
+    jet matrices of W, W+1 and W+2, below degree 0 too."""
+    rng = random.Random(1618)
+    for _ in range(6):
+        s = random_scheme(rng, max_s=3, max_mult=2)
+        if s.n < 2:
+            continue
+        hfs = [jet_matrix_hf(s.fattening(k)) for k in range(3)]
+        n = s.n
+        for i in range(-3, hfs[2].stable_from + 1):
+            assert complex_inequality_rhs(s, i) == (
+                n * (n + 1) // 2 * hfs[0].value(i) + hfs[2].value(i + 2) - hfs[1].value(i + 2)
+                - (n + 1) * (hfs[1].value(i + 1) - hfs[0].value(i + 1))
+            ), (s, i)
 
 
 def test_complex_equality_equimultiple_plane(conic8_points):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -17,7 +18,7 @@ from kahlerdiff.polyring import HomogPoly, monomials_of_degree, parse_poly
 from kahlerdiff.schemes import FatPointScheme, HFTable, ProjPoint, hf_table, hilbert_function
 
 from conftest import jets_by_partials, off_integers, random_scheme
-from oracles import bareiss_rank, dense_submodule_rank
+from oracles import bareiss_rank, dense_submodule_rank, jet_matrix_hf
 
 
 def simple(n, *coords_list, mults=None):
@@ -191,22 +192,29 @@ def test_top_form_equals_presentation_path(rng):
         assert top.ri == direct.ri
 
 
+@lru_cache(maxsize=None)  # two tests read the same 40 schemes
+def fattening_ris(s: FatPointScheme) -> tuple[int, int]:
+    """r_W and r_{W+1} from the literal jet matrices, not from the sweep."""
+    return jet_matrix_hf(s).stable_from, jet_matrix_hf(s.fattening()).stable_from
+
+
 def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
     """Every absolute and relative table is constant from D* = max(r_W + m,
     r_{W+1} + m - 1) on, so it is certified by D*, at max(ri, r_W + m);
-    r_W and r_{W+1} come from `hf_table`, not from the ideal-jet sweep the
-    stop reads.  Its constant is the Hilbert polynomial from local lengths.
-    A table that never repeats a value is refused by its value at D*."""
+    r_W and r_{W+1} come from the literal jet matrices, not from the
+    ideal-jet sweep the stop reads.  Its constant is the Hilbert polynomial
+    from local lengths.  A table that never repeats a value is refused by
+    its value at D*."""
     import random
     from itertools import count
 
     from kahlerdiff import kaehler
-    from kahlerdiff.schemes import StabilizationError, regularity_index
+    from kahlerdiff.schemes import StabilizationError
 
     rng = random.Random(3)
     for _ in range(40):
         s = random_scheme(rng)
-        r, r_fat = regularity_index(s), regularity_index(s.fattening())
+        r, r_fat = fattening_ris(s)
         for relative in (False, True):
             for m in range(1, (s.n if relative else s.n + 1) + 1):
                 o = omega_hf(s, m, relative)
@@ -216,7 +224,7 @@ def test_form_tables_stabilize_by_the_fattening_bound(monkeypatch):
                 assert o.hp == hp_local(s, m, relative), (s, m, relative)
 
     s = simple(2, (1, 5, -7), (1, -3, 2), (1, 4, 4), mults=[2, 1, 3])
-    r, r_fat = regularity_index(s), regularity_index(s.fattening())
+    r, r_fat = fattening_ris(s)
     monkeypatch.setattr(kaehler, "_form_values", lambda *args: count())
     for m in range(1, s.n + 2):
         d_star = max(r + m, r_fat + m - 1)
@@ -235,12 +243,10 @@ def test_ri_is_read_back_from_the_fattening_bound():
     degree that `HFTable.from_values` reads off the values through D*."""
     import random
 
-    from kahlerdiff.schemes import HFTable, regularity_index
-
     rng = random.Random(3)
     for _ in range(40):
         s = random_scheme(rng)
-        r, r_fat = regularity_index(s), regularity_index(s.fattening())
+        r, r_fat = fattening_ris(s)
         for relative in (False, True):
             for m in range(1, (s.n if relative else s.n + 1) + 1):
                 values = omega_hf_prefix(s, m, max(r + m, r_fat + m - 1), relative)
@@ -325,10 +331,9 @@ def test_an_early_plateau_is_not_the_tail(monkeypatch):
     from itertools import chain, repeat
 
     from kahlerdiff import kaehler
-    from kahlerdiff.schemes import regularity_index
 
     s = simple(1, (1, 0), (1, 1), (1, 3), (1, -2), mults=[2, 1, 1, 2])
-    r, r_fat = regularity_index(s), regularity_index(s.fattening())
+    r, r_fat = fattening_ris(s)
     assert (r, r_fat) == (5, 9)
     real = omega_hf(s, 2)
     hp = real.hp
@@ -344,8 +349,8 @@ def test_an_early_plateau_is_not_the_tail(monkeypatch):
 
 def test_stalled_sweeps_raise(monkeypatch):
     """A jet span that stops growing short of full is a fault: with the
-    shift stalled, both the sweep of `hf_table` and the ideal-jet sweep
-    raise instead of running on."""
+    shift stalled, the ideal-jet sweep raises instead of running on, and so
+    does `hf_table`, which reads it."""
     from kahlerdiff import kaehler
     from kahlerdiff.schemes import JetSystem, StabilizationError
 
@@ -453,14 +458,14 @@ def test_ideal_jet_sweep_against_the_ideal_slices():
 
     from kahlerdiff.exactla import Echelon
     from kahlerdiff.kaehler import _generator_jets
-    from kahlerdiff.schemes import ideal_slice, jet_system
+    from kahlerdiff.schemes import JetSystem, ideal_slice
 
     rng = random.Random(14142)
     for _ in range(4):
         base = random_scheme(rng, max_s=3, max_mult=2)
         for s in (base, off_integers(base)):
             gj = _generator_jets(s)
-            fat = jet_system(s.fattening())
+            fat = JetSystem(s.fattening())
             top = gj.js.fattened().index[gj.js.dim :]
             swept = Echelon(len(top))
             for delta in range(len(gj.new) + 1):
@@ -515,7 +520,7 @@ def test_ideal_jet_sweep_ignores_the_form_of_its_leading_block(monkeypatch):
     schemes."""
     import random
 
-    from kahlerdiff import kaehler
+    from kahlerdiff import kaehler, schemes
     from kahlerdiff.exactla import Echelon
 
     def sweep(s, full):
@@ -526,7 +531,7 @@ def test_ideal_jet_sweep_ignores_the_form_of_its_leading_block(monkeypatch):
             return made[-1]
 
         with monkeypatch.context() as mp:
-            mp.setattr(kaehler, "Echelon", echelon)
+            mp.setattr(schemes, "Echelon", echelon)
             return kaehler._GeneratorJets(s), made[0]
 
     rng = random.Random(31415)
@@ -573,41 +578,57 @@ def test_ideal_jet_sweep_counts():
     number HF_W(delta), and those pivoting past them span J_delta, so
     dim J_delta = HF_{W+1}(delta) - HF_W(delta), the identity on which the
     count of Omega^1 rests, checked through one degree past the sweep's
-    end against the W and W+1 sweeps of `hf_table`.  Integral and
-    non-integral schemes."""
+    end against the literal jet matrices of W and W+1, and the sweep ends
+    at r_{W+1}.  Integral and non-integral schemes."""
     import random
 
     from kahlerdiff.kaehler import _generator_jets
-    from kahlerdiff.schemes import regularity_index
 
     rng = random.Random(27182)
     for _ in range(8):
         base = random_scheme(rng, max_s=4, max_mult=3)
         for s in (base, off_integers(base)):
             gj = _generator_jets(s)
-            assert gj.hf == hf_table(s), s
-            fat = s.fattening()
-            for delta in range(len(gj.new) + 1):
-                expected = hilbert_function(fat, delta) - hilbert_function(s, delta)
-                assert gj.jdims[min(delta, len(gj.jdims) - 1)] == expected, (s, delta)
-            assert gj.fattened_ri == regularity_index(fat), s
+            hf, hf_fat = jet_matrix_hf(s), jet_matrix_hf(s.fattening())
+            assert gj.hf == hf_table(s) == hf, s
+            for delta in range(-1, len(gj.new) + 1):
+                expected = hf_fat.value(delta) - hf.value(delta)
+                assert gj.jdim(delta) == expected, (s, delta)
+            assert gj.fattened_ri == hf_fat.stable_from, s
 
 
-def test_form_tables_never_sweep_the_scheme_again():
-    """HF_W and r_W on the form path come from the ideal-jet sweep: no
-    absolute, relative, prefix or top-form table runs `hf_table`."""
+def test_each_scheme_is_swept_once(monkeypatch):
+    """HF_W, r_W and r_{W+1} all come from the one ideal-jet sweep of W:
+    on a fresh scheme, `hf_table`, `regularity_index`, every absolute,
+    relative, prefix and top-form table, `koszul_check` and `ri_bounds`
+    shift the jets of a single system, the fattened one of that sweep, and
+    build it once."""
+    from kahlerdiff.formulas import ri_bounds
+    from kahlerdiff.schemes import JetSystem, regularity_index
+
     s = simple(2, (1, 17, -23), (1, -19, 29), (1, 31, 37), mults=[3, 1, 2])
-    misses = hf_table.cache_info().misses
+    swept = []
+    shift = JetSystem.shift_by_variable
+
+    def record(self, vec, i):
+        swept.append(self)
+        return shift(self, vec, i)
+
+    monkeypatch.setattr(JetSystem, "shift_by_variable", record)
+    hf_table(s)
+    r = regularity_index(s)
     for m in range(1, 4):
         omega_hf(s, m)
         omega_hf_prefix(s, m, 9)
+        ri_bounds(s, m)
     for m in range(1, 3):
         omega_hf(s, m, relative=True)
         omega_hf_prefix(s, m, 9, relative=True)
     top_form_hf(s)
-    assert hf_table.cache_info().misses == misses
-    hf_table(s)  # the scheme was fresh, so the pin above was live
-    assert hf_table.cache_info().misses == misses + 1
+    assert all(koszul_check(s, d) for d in range(r + 6))
+    systems = {id(js): js for js in swept}
+    assert len(systems) == 1
+    assert swept[0].scheme == s.fattening()
 
 
 def test_sweep_matches_per_degree_presentation():

@@ -7,7 +7,7 @@ from pathlib import Path
 import kahlerdiff
 
 PACKAGE = Path(kahlerdiff.__file__).parent
-BUDGET = 2749  # lines of src/kahlerdiff/*.py, as `wc -l` counts them
+BUDGET = 2734  # lines of src/kahlerdiff/*.py, as `wc -l` counts them
 
 
 def test_package_stays_within_its_line_budget():

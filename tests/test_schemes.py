@@ -16,8 +16,8 @@ from kahlerdiff.schemes import (
     hf_table,
     hilbert_function,
     ideal_slice,
+    JetSystem,
     initial_degree,
-    jet_system,
     minimal_generators,
     regularity_index,
     scheme_from_json_dict,
@@ -25,7 +25,7 @@ from kahlerdiff.schemes import (
 )
 
 from conftest import jets_by_partials, off_integers, random_scheme
-from oracles import bareiss_rank, rref
+from oracles import jet_matrix_hf, rref
 
 
 def simple(n, *coords_list, mults=None):
@@ -52,6 +52,18 @@ def test_scheme_rejects_duplicates_and_bad_mults():
         simple(2, (1, 1, 1), (2, 2, 2))
     with pytest.raises(ValueError):
         simple(2, (1, 0, 0), mults=[0])
+
+
+def test_with_mults_takes_one_nonnegative_multiplicity_a_point():
+    """A wrong count or a negative multiplicity is refused, not coerced;
+    a multiplicity of 0 drops its point."""
+    s = simple(2, (1, 0, 0), (1, 1, 0), (1, 0, 1))
+    assert s.with_mults([0, 2, 1]) == simple(2, (1, 1, 0), (1, 0, 1), mults=[2, 1])
+    for bad in ([3], [1, 1, 1, 1], [2, -1, 1]):
+        with pytest.raises(ValueError, match="^need 3 nonnegative multiplicities"):
+            s.with_mults(bad)
+    with pytest.raises(ValueError, match="^all multiplicities vanished$"):
+        s.with_mults([0, 0, 0])
 
 
 def test_coordinate_change_utility():
@@ -204,13 +216,8 @@ def test_hf_table_matches_literal_jet_matrix():
     rng = random.Random(55012)
     for _ in range(12):
         s = off_integers(random_scheme(rng))
-        n = s.n
         assert any(c.denominator != 1 for p in s.points for c in p.coords)
-        js = jet_system(s)
-        table = hf_table(s)
-        for d in range(table.stable_from + 2):
-            cols = [js.monomial_column(beta) for beta in degree_slice(n, d)]
-            assert table.value(d) == bareiss_rank(zip(*cols))
+        assert hf_table(s) == jet_matrix_hf(s), s
 
 
 def test_jet_evaluator_against_independent_routes():
@@ -224,7 +231,7 @@ def test_jet_evaluator_against_independent_routes():
     for _ in range(8):
         base = random_scheme(rng, max_s=3)
         for s, integral in ((base, True), (off_integers(base), False)):
-            js = jet_system(s)
+            js = JetSystem(s)
             n = s.n
             for d in range(4):
                 f = HomogPoly.from_coeffs(
@@ -287,7 +294,7 @@ def test_block_built_jet_systems_match_a_direct_construction():
             order = sorted(range(s.s), key=lambda j: -s.mults[j])
             index = [(j, g) for j in order for g in orders(s.n, 0, s.mults[j] - 1)]
             fat_index = index + [(j, g) for j in order for g in orders(s.n, s.mults[j], s.mults[j])]
-            js = jet_system(s)
+            js = JetSystem(s)
             assert js.dim == len(index) == s.degree()
             assert (js.pos, js._diagonal, js._lowering) == _direct_jet_lists(s, index), s
             fat = js.fattened()
@@ -305,7 +312,7 @@ def test_batched_poly_jets_against_partials():
     for _ in range(6):
         base = random_scheme(rng, max_s=3)
         for s in (base, off_integers(base)):
-            js = jet_system(s)
+            js = JetSystem(s)
             n = s.n
             for d in range(4):
                 monos = degree_slice(n, d)
@@ -331,7 +338,7 @@ def test_ideal_slice_is_the_standard_form_basis():
     for _ in range(6):
         base = random_scheme(rng, max_n=2, max_s=3)
         for s in (base, off_integers(base)):
-            js = jet_system(s)
+            js = JetSystem(s)
             for d in range(initial_degree(s), regularity_index(s) + 2):
                 monos = degree_slice(s.n, d)
                 rows = [[js.value(j, gamma, beta) for beta in monos]
@@ -403,7 +410,7 @@ def test_slice_members_have_vanishing_jets(rng):
     for _ in range(5):
         base = random_scheme(rng, max_s=3)
         for s in (base, off_integers(base)):
-            js = jet_system(s)
+            js = JetSystem(s)
             d = initial_degree(s) + 1
             for jets in js.poly_jets(ideal_slice(s, d)):
                 assert all(v == 0 for v in jets)
