@@ -7,12 +7,12 @@ fraction-free echelon form that the Hilbert tables and the ideal-jet
 sweep grow degree by degree, that `kernel_standard` reads primitive
 integer kernel bases off, with no `Fraction` built, and whose pivot
 columns pick the minimal generators.
-It keeps reduced only the rows from a block boundary on, the only rows a
-caller reads beyond rank and pivots: all of them for `kernel_standard`
-and the form tables, J's past W in the ideal-jet sweep (which also
-counts HF_W), none for `minimal_generators`.  It grows by batches, each
-inserted right to left by leading column; one back-substitution pass at
-the end of the batch clears the reduced rows at the new pivots.
+It grows by batches, each inserted right to left by leading column, and
+reduces a row once, when it goes in; when a batch ends, the rows it added
+from a block boundary on are cleaned against each other, and no older row
+is rewritten.  These are the rows a caller reads beyond rank and pivots:
+`kernel_standard`'s one batch, and the J rows new at a degree of the
+ideal-jet sweep, past W's columns.
 `rank` ranks a whole matrix in one batch with no row kept reduced; it
 serves the one-shot checks (a single-degree `submodule_slice`, general
 position, a singular coordinate change or conic).
@@ -60,11 +60,11 @@ def kernel_standard(
     Basis vector k is positive at free column k and 0 at the other free
     columns; divided by its entry at free column k it is the unique
     standard-form basis vector, so the coordinates of any kernel element can
-    be read off at the free columns.  It is read off the fully reduced
-    `Echelon` of the rows, whose row at pivot p is a positive multiple of
-    the reduced echelon row at p: with L the lcm of row[p] over the rows
-    with row[free] != 0, v[free] = L and v[p] = -row[free] * (L / row[p]),
-    divided by the content.
+    be read off at the free columns.  The rows go into one `Echelon` as one
+    batch at boundary 0, which leaves it fully reduced (keep it one batch):
+    its row at pivot p is a positive multiple of the reduced echelon row at
+    p: with L the lcm of row[p] over the rows with row[free] != 0,
+    v[free] = L and v[p] = -row[free] * (L / row[p]), divided by the content.
     """
     ech = Echelon(ncols)
     ech.insert_all(integer_rows(rows))
@@ -92,19 +92,18 @@ class Echelon:
 
     The rows are primitive integer vectors in echelon form, positive at
     their pivots; support[k] lists the nonzero columns of rows[k], the only
-    ones visited when that row is used.  Between batches a row pivoting
-    from the block boundary `reduced_from` on (by default every row) is
-    zero at every other pivot: these rows are the reduced basis, which is
-    unique, of the vectors of the space that vanish before the boundary.
-    A row pivoting before it stays as it went in.
-
-    Inside `insert_all` a new row goes in at its pivot, and the rows past
-    the boundary are cleared at the new pivots there once, when the batch
-    ends.  A batch goes in by leading column, rightmost first, which keeps
-    the fill-in small; the order changes the cost, never the reduced rows.
+    ones visited when that row is used.  Every row is zero at the pivots
+    of all rows that went in before it; a row pivoting from the block
+    boundary `reduced_from` on (by default every row) is also zero at the
+    other pivots of its batch, one `insert_all` (a lone `insert` is a batch
+    of one).  So when a batch ends, the rows it added past the boundary are
+    zero at every pivot but their own: reduced, and unique for the span,
+    whatever the older rows look like.  No row is rewritten once its batch
+    has ended.  A batch goes in by leading column, rightmost first, which
+    keeps the fill-in small; the order changes the cost, never the span.
     """
 
-    __slots__ = ("ncols", "reduced_from", "rows", "pivots", "support", "_batch")
+    __slots__ = ("ncols", "reduced_from", "rows", "pivots", "support")
 
     def __init__(self, ncols: int, reduced_from: int = 0):
         self.ncols = ncols
@@ -112,8 +111,6 @@ class Echelon:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.support: list[list[int]] = []
-        # pivots past the boundary placed by the running `insert_all`
-        self._batch: list[int] | None = None
 
     @property
     def rank(self) -> int:
@@ -149,11 +146,6 @@ class Echelon:
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)
         self.support.insert(at, supp)
-        if lead >= self.reduced_from:
-            if self._batch is None:
-                self._back_substitute([lead])
-            else:
-                self._batch.append(lead)
         return True
 
     def insert_all(self, vecs: Iterable[Sequence[int]]) -> None:
@@ -161,37 +153,30 @@ class Echelon:
         among equal leads smallest total bit length first.  The order fixes
         the cost of the elimination, not the span.  Right to left, each
         vector is reduced against the new rows right of its lead before it
-        goes in, so the new rows come out reduced against each other, and
-        the pass at the end of the batch mostly clears the older rows;
-        small rows first keep the entries small.
+        goes in, so the new rows come out mostly reduced against each
+        other; small rows first keep the entries small.
 
-        Each vector goes through `insert`, which places an independent
-        residual at its pivot; the rows past the boundary are cleared at the
-        new pivots there once, when the batch ends.  The vectors given are
-        not changed."""
-        ordered = sorted(vecs, key=_right_to_left)
-        self._batch = new = []
-        try:
-            for vec in ordered:
-                self.insert(vec)
-        finally:
-            self._batch = None
-            if new:
-                self._back_substitute(new)
+        Each vector goes through `insert`, which places an independent residual
+        at its pivot; when the batch ends, the rows it added past the boundary
+        are cleaned against each other once.  The vectors are not changed."""
+        old = set(self.pivots)
+        for vec in sorted(vecs, key=_right_to_left):
+            self.insert(vec)
+        cut = bisect_left(self.pivots, self.reduced_from)
+        new = [p for p in self.pivots[cut:] if p not in old]
+        if new:
+            self._back_substitute(new)
 
     def _back_substitute(self, new: list[int]) -> None:
-        """Restore the reduced form past the boundary after rows with pivots
-        `new`, all past it, went in.
-
-        Only the rows from the boundary up to the rightmost new row can be
-        nonzero at a new pivot.  They are cleared bottom up, each at every
-        new pivot right of its own, with the new rows there, which are clean
-        by then; a row that is hit is rescanned and made primitive once."""
-        rows, pivots, support = self.rows, self.pivots, self.support
-        fresh = set(new)
-        cut = bisect_left(pivots, self.reduced_from)
+        """Clean the rows of the batch with pivots `new`, all past the
+        boundary, against each other: each is zero at the pivots of the rows
+        that went in before it, so among the pivots only at new ones right of
+        its own.  They are cleared right to left with the clean rows there; a
+        row that is hit is rescanned and made primitive once."""
+        rows, support = self.rows, self.support
         clean: list[tuple[int, list[int], list[int]]] = []
-        for k in range(bisect_left(pivots, max(new)), cut - 1, -1):
+        for p in reversed(new):
+            k = bisect_left(self.pivots, p)
             row = rows[k]
             hits = []
             for q, r, s in clean:
@@ -213,8 +198,7 @@ class Echelon:
                         row[j] -= b * r[j]
                 support[k] = list(compress(range(self.ncols), row))
                 _make_primitive(row, support[k])
-            if pivots[k] in fresh:
-                clean.append((pivots[k], row, support[k]))
+            clean.append((p, row, support[k]))
 
 
 def _right_to_left(v: Sequence[int]) -> tuple[int, int]:

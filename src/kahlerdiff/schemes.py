@@ -69,6 +69,8 @@ class ProjPoint:
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Sequence[Fraction | int | str]):
+        if any(isinstance(c, (bool, float)) for c in coords):
+            raise ValueError(f"coordinates must be exact (int, Fraction or str), got {list(coords)}")
         vals = tuple(Fraction(c) for c in coords)
         lead = next((c for c in vals if c), None)
         if lead is None:
@@ -102,8 +104,8 @@ class FatPointScheme:
 
     def __init__(self, n: int, points: Sequence[ProjPoint], mults: Sequence[int]):
         points = tuple(points)
-        mults = tuple(int(m) for m in mults)
-        if n < 1:
+        mults = tuple(_strict_int(m, "a multiplicity") for m in mults)
+        if _strict_int(n, "the ambient dimension") < 1:
             raise ValueError("ambient dimension must be at least 1")
         if not points:
             raise ValueError("a scheme needs at least one point")
@@ -155,7 +157,7 @@ class FatPointScheme:
     def with_mults(self, mults: Sequence[int]) -> "FatPointScheme":
         """The scheme on these points with new multiplicities, one a point;
         a point of multiplicity 0 is dropped."""
-        if len(mults) != self.s or any(m < 0 for m in mults):
+        if len(mults) != self.s or any(_strict_int(m, "a multiplicity") < 0 for m in mults):
             raise ValueError(f"need {self.s} nonnegative multiplicities, got {list(mults)}")
         kept = [(p, m) for p, m in zip(self.points, mults) if m > 0]
         if not kept:
@@ -295,7 +297,10 @@ class JetSystem:
         return {key: k for k, key in enumerate(self.index)}
 
     def value(self, j: int, gamma: Exponents, beta: Exponents) -> Fraction | int:
-        """The gamma-partial of the monomial X^beta at P_j."""
+        """The gamma-partial of the monomial X^beta at P_j.  With
+        `monomial_column` and `poly_jets` it is the direct evaluation route
+        of the oracles (`kaehler.submodule_slice`, `tests/oracles.py`) and
+        the tests; the sweep and the ideal slices shift jets instead."""
         a = self.coords[j]
         val = 1
         for i, g in enumerate(gamma):
@@ -370,9 +375,10 @@ class _GeneratorJets:
     V_{delta-2} in V_{delta-1} (a nonzero combination of them leads at one
     of their pivots, and no vector of V_{delta-2} does).  A row pivoting
     past W's columns vanishes on W, so it is the jet of an ideal element;
-    these rows are the reduced basis of J_delta.  new[delta] keeps, cut to
-    H, the rows past W whose pivots first appeared at delta: they span a
-    complement of J_{delta-1} in J_delta.  The rows pivoting on W's columns
+    these rows are a basis of J_delta.  new[delta] keeps, cut to H, the rows
+    past W whose pivots first appeared at delta: they span a complement of
+    J_{delta-1} in J_delta and, their batch cleaned, are zero at every
+    other pivot of J_delta.  The rows pivoting on W's columns
     number HF_W(delta), and the others dim J_delta, kept in `jdims`.  The
     sweep ends where the echelon fills, at r_{W+1}, kept as `fattened_ri`
     (this is Buchberger-Moeller in jet form); since r_W <= r_{W+1}, `hf`
@@ -502,12 +508,21 @@ def _slice_data(scheme: FatPointScheme, d: int) -> tuple[tuple[list[int], ...], 
 
     The vectors are `kernel_standard`'s primitive integer basis of the jet
     pairing: vector k is positive at free column k and zero at the others.
+    Column X^beta holds the jets of its affine monomial, from the jet of 1
+    up: X_t times one of degree one less, by `shift_by_variable` divided
+    by den_t.
     """
     if d < 0:
         return (), ()
     js = _generator_jets(scheme).js
     monos = degree_slice(scheme.n, d)
-    rows = [[js.value(j, gamma, beta) for beta in monos] for (j, gamma) in js.index]
+    jets = {(0,) * scheme.n: [0 if any(gamma) else 1 for _, gamma in js.index]}
+    for b in sorted((beta[1:] for beta in monos), key=sum)[1:]:
+        t = next(t for t, e in enumerate(b) if e)
+        col = js.shift_by_variable(jets[b[:t] + (b[t] - 1,) + b[t + 1 :]], t + 1)
+        den = js.denominators[t]  # 1 on an integral scheme
+        jets[b] = col if den == 1 else [Fraction(x, den) for x in col]
+    rows = list(zip(*(jets[beta[1:]] for beta in monos)))
     basis, free_cols = kernel_standard(rows, ncols=len(monos))
     assert len(basis) == comb(scheme.n + d, scheme.n) - hf_table(scheme).value(d)
     return tuple(basis), tuple(free_cols)
@@ -607,7 +622,8 @@ def apply_coordinate_change(
 
 # --- JSON scheme files ----------------------------------------------------
 
-def _json_int(value, what: str) -> int:
+def _strict_int(value, what: str) -> int:
+    """`value` if it is an int and not a bool: nothing is coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -638,10 +654,10 @@ def scheme_from_json_dict(doc: dict) -> FatPointScheme:
     strings.
     """
     try:
-        n = _json_int(doc["n"], "n")
+        n = _strict_int(doc["n"], "n")
         entries = doc["points"]
         points = [ProjPoint(_json_coords(e["coords"])) for e in entries]
-        mults = [_json_int(e.get("mult", 1), "mult") for e in entries]
+        mults = [_strict_int(e.get("mult", 1), "mult") for e in entries]
     except CoordinateAssumptionError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

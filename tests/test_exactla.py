@@ -1,10 +1,9 @@
 import random
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlerdiff.exactla import Echelon, integer_rows, kernel_standard, rank
@@ -181,57 +180,74 @@ def batched_matrices(draw, max_dim=7):
     return mat, batches, draw(st.integers(min_value=0, max_value=ncols))
 
 
-def _assert_form(ech):
+class _Recording(Echelon):
+    """An `Echelon` that notes the pivot of each row as it goes in."""
+
+    def __init__(self, ncols, reduced_from=0):
+        super().__init__(ncols, reduced_from)
+        self.order = []
+
+    def insert(self, vec):
+        before = set(self.pivots)
+        placed = super().insert(vec)
+        if placed:
+            self.order += set(self.pivots) - before
+        return placed
+
+
+def _assert_form(ech, batch_of):
     """Primitive rows, positive at their pivots, in echelon form, each with
-    its exact support; the rows pivoting from the block boundary on are
-    zero at every other pivot."""
+    its exact support; each row is zero at the pivots of the rows that went
+    in before it, and one pivoting from the block boundary on is also zero
+    at the other pivots of its batch (`batch_of` maps a pivot to the number
+    of the batch that placed it)."""
     assert ech.pivots == sorted(set(ech.pivots))
+    went_in = {p: k for k, p in enumerate(ech.order)}
     for row, p, supp in zip(ech.rows, ech.pivots, ech.support):
         assert supp == [j for j, x in enumerate(row) if x]
         assert supp[0] == p
         assert row[p] > 0
         assert gcd(*row) == 1
-        if p >= ech.reduced_from:
-            assert all(row[q] == 0 for q in ech.pivots if q != p)
-
-
-def _span(vectors, ncols):
-    ech = Echelon(ncols)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rows
+        for q in ech.pivots:
+            earlier = went_in[q] < went_in[p]
+            same_batch = p >= ech.reduced_from and q != p and batch_of[q] == batch_of[p]
+            if earlier or same_batch:
+                assert row[q] == 0
 
 
 @given(batched_matrices())
+@example(([[1, 1, 0], [0, 2, 1], [0, 0, 1]], [[[1, 1, 0]], [[0, 2, 1], [0, 0, 1]]], 0))
 @settings(deadline=None, max_examples=300)
 def test_insert_all_matches_sequential_insert(case):
-    """Batches against one-at-a-time `insert`, with the block boundary at 0
-    (fully reduced), at a drawn column and at `ncols` (no reduced block).
-    The rows from the boundary on are the reduced basis of the vectors of
-    the span that vanish before it, which is unique, so they and the pivots
-    match; the rows before it depend on the order and are never touched
-    once their batch has gone in."""
+    """Batches against one-at-a-time `insert`, with the block boundary at 0,
+    at a drawn column and at `ncols`: the same pivots and the same span.
+    Each row is reduced once, when its batch goes in, and a later batch
+    leaves every row of an earlier batch as it was (in the explicit example
+    the second batch places a pivot where the first batch's row is
+    nonzero).  All rows in one batch at boundary 0 are the rows of the
+    `rref` oracle, each up to a positive factor."""
     mat, batches, boundary = case
     ncols = len(mat[0])
     for reduced_from in (0, boundary, ncols):
-        one = Echelon(ncols, reduced_from)
+        one = _Recording(ncols, reduced_from)
         for row in mat:
             one.insert(row)
-        batched = Echelon(ncols, reduced_from)
-        kept: dict[int, list[int]] = {}
-        for batch in batches:
+        _assert_form(one, {p: k for k, p in enumerate(one.order)})
+        batched = _Recording(ncols, reduced_from)
+        batch_of: dict[int, int] = {}
+        for k, batch in enumerate(batches):
+            kept = {p: list(row) for p, row in zip(batched.pivots, batched.rows)}
             given = [list(row) for row in batch]
             batched.insert_all(given)
             assert given == batch
-            _assert_form(batched)
+            batch_of.update((p, k) for p in batched.pivots if p not in batch_of)
+            _assert_form(batched, batch_of)
             for p, row in kept.items():
                 assert batched.rows[batched.pivots.index(p)] == row
-            kept = {
-                p: list(row) for p, row in zip(batched.pivots, batched.rows)
-                if p < reduced_from
-            }
-        _assert_form(one)
         assert batched.pivots == one.pivots
-        k = bisect_left(one.pivots, reduced_from)
-        assert batched.rows[k:] == one.rows[k:]  # all rows at boundary 0
-        assert _span(batched.rows, ncols) == _span(mat, ncols)
+        assert rref(batched.rows) == rref(mat)
+    whole = Echelon(ncols)
+    whole.insert_all(mat)
+    reduced, pivots = rref(mat)
+    assert whole.pivots == pivots
+    assert [[Fraction(x, row[p]) for x in row] for row, p in zip(whole.rows, pivots)] == reduced

@@ -66,6 +66,28 @@ def test_with_mults_takes_one_nonnegative_multiplicity_a_point():
         s.with_mults([0, 0, 0])
 
 
+def test_inexact_input_is_refused_not_coerced():
+    """A multiplicity or dimension that is not an int (a float, a string, a
+    bool) and a float or bool coordinate raise ValueError in the Python API,
+    as in the JSON reader; int, Fraction and strings such as "3/2" are
+    coordinates."""
+    p = ProjPoint([1, "3/2", Fraction(1, 3)])
+    assert p.coords == (1, Fraction(3, 2), Fraction(1, 3))
+    for bad in ([1, 0.1, 0], [1, True, 0], [1.0, 2, 0], [False, 1, 1]):
+        with pytest.raises(ValueError, match="^coordinates must be exact"):
+            ProjPoint(bad)
+    for bad in (2.5, "3", True, 2.0):
+        with pytest.raises(ValueError, match="^a multiplicity must be an integer"):
+            FatPointScheme(2, [p], [bad])
+        with pytest.raises(ValueError, match="^the ambient dimension must be an integer"):
+            FatPointScheme(bad, [p], [1])
+    s = simple(2, (1, 0, 0), (1, 1, 0))
+    for bad in ([1.7, 1], [0.0, 1], [True, 2]):
+        with pytest.raises(ValueError, match="^a multiplicity must be an integer"):
+            s.with_mults(bad)
+    assert FatPointScheme(2, [p], [3]).mults == (3,)
+
+
 def test_coordinate_change_utility():
     s = simple(2, (1, 0, 0), (1, 1, 1))
     moved = apply_coordinate_change(s, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
